@@ -80,26 +80,15 @@ func NewBundleWriter() *BundleWriter {
 
 // AddField compresses a float32 field under bound and indexes it.
 func (bw *BundleWriter) AddField(name string, dims Dims, data []float32, bound Bound, opts Options) (*Stats, error) {
-	defer telBundleAdd.Start().End()
-	if err := bw.checkName(name); err != nil {
-		return nil, err
-	}
-	if err := dims.Validate(len(data)); err != nil {
-		return nil, err
-	}
-	start := len(bw.arena)
-	arena, err := CompressInto(bw.arena, data, bound, opts, &bw.stats)
-	if err != nil {
-		return nil, err
-	}
-	bw.arena = arena
-	bw.push(name, dims, Float32, start, len(arena), bw.stats.Eps)
-	out := bw.stats
-	return &out, nil
+	return addField(bw, name, dims, data, bound, opts)
 }
 
 // AddField64 compresses a float64 field under bound and indexes it.
 func (bw *BundleWriter) AddField64(name string, dims Dims, data []float64, bound Bound, opts Options) (*Stats, error) {
+	return addField(bw, name, dims, data, bound, opts)
+}
+
+func addField[T core.Float](bw *BundleWriter, name string, dims Dims, data []T, bound Bound, opts Options) (*Stats, error) {
 	defer telBundleAdd.Start().End()
 	if err := bw.checkName(name); err != nil {
 		return nil, err
@@ -108,12 +97,12 @@ func (bw *BundleWriter) AddField64(name string, dims Dims, data []float64, bound
 		return nil, err
 	}
 	start := len(bw.arena)
-	arena, err := Compress64Into(bw.arena, data, bound, opts, &bw.stats)
+	arena, err := core.CompressInto(bw.arena, data, opts.coreOptions(bound), &bw.stats)
 	if err != nil {
 		return nil, err
 	}
 	bw.arena = arena
-	bw.push(name, dims, Float64, start, len(arena), bw.stats.Eps)
+	bw.push(name, dims, bw.stats.Elem, start, len(arena), bw.stats.Eps)
 	out := bw.stats
 	return &out, nil
 }
@@ -311,28 +300,25 @@ func (br *BundleReader) member(name string) ([]byte, BundleField, error) {
 
 // ReadField decompresses a float32 member.
 func (br *BundleReader) ReadField(name string) ([]float32, BundleField, error) {
-	defer telBundleRead.Start().End()
-	stream, f, err := br.member(name)
-	if err != nil {
-		return nil, f, err
-	}
-	if f.Elem != Float32 {
-		return nil, f, fmt.Errorf("ceresz: field %q holds %s; use ReadField64", name, f.Elem)
-	}
-	out, err := Decompress(nil, stream)
-	return out, f, err
+	return readField[float32](br, name, "ReadField64")
 }
 
 // ReadField64 decompresses a float64 member.
 func (br *BundleReader) ReadField64(name string) ([]float64, BundleField, error) {
+	return readField[float64](br, name, "ReadField")
+}
+
+// readField decompresses a member of element type T; other names the
+// reader method for the other element type, for the mismatch error.
+func readField[T core.Float](br *BundleReader, name, other string) ([]T, BundleField, error) {
 	defer telBundleRead.Start().End()
 	stream, f, err := br.member(name)
 	if err != nil {
 		return nil, f, err
 	}
-	if f.Elem != Float64 {
-		return nil, f, fmt.Errorf("ceresz: field %q holds %s; use ReadField", name, f.Elem)
+	if f.Elem != core.ElemFor[T]() {
+		return nil, f, fmt.Errorf("ceresz: field %q holds %s; use %s", name, f.Elem, other)
 	}
-	out, err := Decompress64(nil, stream)
+	out, err := decompress([]T(nil), stream, 0)
 	return out, f, err
 }

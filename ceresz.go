@@ -111,14 +111,17 @@ func CompressWithEpsInto(dst []byte, data []float32, eps float64, opts Options, 
 // to dst (which may be nil). It runs sequentially; use DecompressWith to
 // shard a large stream across CPU cores.
 func Decompress(dst []float32, comp []byte) ([]float32, error) {
-	out, _, err := core.Decompress(dst, comp, 0)
-	return out, err
+	return decompress(dst, comp, 0)
 }
 
 // DecompressWith is Decompress honoring opts.Workers (only the Workers
 // field matters on the decode path: block geometry comes from the stream).
 func DecompressWith(dst []float32, comp []byte, opts Options) ([]float32, error) {
-	out, _, err := core.Decompress(dst, comp, opts.Workers)
+	return decompress(dst, comp, opts.Workers)
+}
+
+func decompress[T core.Float](dst []T, comp []byte, workers int) ([]T, error) {
+	out, _, err := core.DecompressInto(dst, comp, workers)
 	return out, err
 }
 

@@ -13,13 +13,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"net/http"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
+
+	"ceresz/internal/rawfloat"
 )
 
 // Bound mirrors the server's error-bound query parameters.
@@ -263,69 +264,49 @@ func (c *Client) compressQuery(bound Bound, elem string) string {
 // Compress sends data and returns the server's CSZF framed stream — the
 // same bytes StreamWriter would produce locally with matching chunking.
 func (c *Client) Compress(ctx context.Context, data []float32, bound Bound) ([]byte, error) {
-	return c.compress(ctx, data, bound, nil)
-}
-
-func (c *Client) compress(ctx context.Context, data []float32, bound Bound, tr *Trace) ([]byte, error) {
-	body := make([]byte, 4*len(data))
-	for i, v := range data {
-		binary.LittleEndian.PutUint32(body[4*i:], math.Float32bits(v))
-	}
-	out, _, err := c.do(ctx, "/v1/compress"+c.compressQuery(bound, "f32"), body, tr)
-	return out, err
+	return compress(c, ctx, data, bound, nil)
 }
 
 // Compress64 is Compress for double precision.
 func (c *Client) Compress64(ctx context.Context, data []float64, bound Bound) ([]byte, error) {
-	return c.compress64(ctx, data, bound, nil)
+	return compress(c, ctx, data, bound, nil)
 }
 
-func (c *Client) compress64(ctx context.Context, data []float64, bound Bound, tr *Trace) ([]byte, error) {
-	body := make([]byte, 8*len(data))
-	for i, v := range data {
-		binary.LittleEndian.PutUint64(body[8*i:], math.Float64bits(v))
+// elemName is the server's ?elem= name for T.
+func elemName[T rawfloat.Float]() string {
+	if rawfloat.Size[T]() == 8 {
+		return "f64"
 	}
-	out, _, err := c.do(ctx, "/v1/compress"+c.compressQuery(bound, "f64"), body, tr)
+	return "f32"
+}
+
+func compress[T rawfloat.Float](c *Client, ctx context.Context, data []T, bound Bound, tr *Trace) ([]byte, error) {
+	body := rawfloat.Append(nil, data)
+	out, _, err := c.do(ctx, "/v1/compress"+c.compressQuery(bound, elemName[T]()), body, tr)
 	return out, err
 }
 
 // Decompress sends a CSZF framed stream and returns the float32 values.
 func (c *Client) Decompress(ctx context.Context, framed []byte) ([]float32, error) {
-	return c.decompress(ctx, framed, nil)
-}
-
-func (c *Client) decompress(ctx context.Context, framed []byte, tr *Trace) ([]float32, error) {
-	raw, _, err := c.do(ctx, "/v1/decompress?elem=f32", framed, tr)
-	if err != nil {
-		return nil, err
-	}
-	if len(raw)%4 != 0 {
-		return nil, fmt.Errorf("client: response length %d is not a multiple of 4", len(raw))
-	}
-	out := make([]float32, len(raw)/4)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
-	}
-	return out, nil
+	return decompress[float32](c, ctx, framed, nil)
 }
 
 // Decompress64 sends a CSZF framed stream of float64 chunks.
 func (c *Client) Decompress64(ctx context.Context, framed []byte) ([]float64, error) {
-	return c.decompress64(ctx, framed, nil)
+	return decompress[float64](c, ctx, framed, nil)
 }
 
-func (c *Client) decompress64(ctx context.Context, framed []byte, tr *Trace) ([]float64, error) {
-	raw, _, err := c.do(ctx, "/v1/decompress?elem=f64", framed, tr)
+func decompress[T rawfloat.Float](c *Client, ctx context.Context, framed []byte, tr *Trace) ([]T, error) {
+	raw, _, err := c.do(ctx, "/v1/decompress?elem="+elemName[T](), framed, tr)
 	if err != nil {
 		return nil, err
 	}
-	if len(raw)%8 != 0 {
-		return nil, fmt.Errorf("client: response length %d is not a multiple of 8", len(raw))
+	size := rawfloat.Size[T]()
+	if len(raw)%size != 0 {
+		return nil, fmt.Errorf("client: response length %d is not a multiple of %d", len(raw), size)
 	}
-	out := make([]float64, len(raw)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
-	}
+	out := make([]T, len(raw)/size)
+	rawfloat.Decode(out, raw)
 	return out, nil
 }
 
@@ -355,24 +336,16 @@ func (c *Client) bundle(ctx context.Context, fields []BundleField, tr *Trace) ([
 		Eps  float64 `json:"eps"`
 	}
 	specs := make([]spec, len(fields))
-	var data bytes.Buffer
+	var data []byte
 	for i, f := range fields {
 		specs[i] = spec{Name: f.Name, Dims: f.Dims, Mode: f.Bound.mode(), Eps: f.Bound.Eps}
 		switch {
 		case f.F32 != nil && f.F64 == nil:
 			specs[i].Elem = "f32"
-			for _, v := range f.F32 {
-				var b [4]byte
-				binary.LittleEndian.PutUint32(b[:], math.Float32bits(v))
-				data.Write(b[:])
-			}
+			data = rawfloat.Append(data, f.F32)
 		case f.F64 != nil && f.F32 == nil:
 			specs[i].Elem = "f64"
-			for _, v := range f.F64 {
-				var b [8]byte
-				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-				data.Write(b[:])
-			}
+			data = rawfloat.Append(data, f.F64)
 		default:
 			return nil, fmt.Errorf("client: field %q must set exactly one of F32/F64", f.Name)
 		}
@@ -381,10 +354,10 @@ func (c *Client) bundle(ctx context.Context, fields []BundleField, tr *Trace) ([
 	if err != nil {
 		return nil, err
 	}
-	body := make([]byte, 0, 4+len(manifest)+data.Len())
+	body := make([]byte, 0, 4+len(manifest)+len(data))
 	body = binary.LittleEndian.AppendUint32(body, uint32(len(manifest)))
 	body = append(body, manifest...)
-	body = append(body, data.Bytes()...)
+	body = append(body, data...)
 	out, _, err := c.do(ctx, "/v1/bundle", body, tr)
 	return out, err
 }

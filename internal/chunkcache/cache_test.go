@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"ceresz/internal/telemetry"
 )
@@ -126,6 +127,20 @@ func TestCoalescing(t *testing.T) {
 	}
 }
 
+// parkedOn reports how many Gets are parked on key's pending entry. A
+// waiter counts itself under the shard lock before it sleeps, so once the
+// count reaches n, n goroutines are committed to observing whatever the
+// owner publishes next.
+func (c *Cache) parkedOn(k Key) int32 {
+	s := &c.shards[int(k[0])&(nShards-1)]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e, ok := s.m[k]; ok {
+		return e.waiters
+	}
+	return 0
+}
+
 func TestAbortWakesWaiters(t *testing.T) {
 	c := New(1<<20, telemetry.NewRegistry())
 	k := key(1, 9)
@@ -133,16 +148,21 @@ func TestAbortWakesWaiters(t *testing.T) {
 	owner, _ := c.Get(k)
 	const waiters = 4
 	errs := make(chan error, waiters)
-	var started sync.WaitGroup
-	started.Add(waiters)
 	for i := 0; i < waiters; i++ {
 		go func() {
-			started.Done()
 			_, err := c.Get(k)
 			errs <- err
 		}()
 	}
-	started.Wait()
+	// Abort only once every waiter is parked on the pending entry: a
+	// waiter arriving after Abort would correctly become a fresh owner.
+	deadline := time.Now().Add(10 * time.Second)
+	for c.parkedOn(k) < waiters {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d waiters parked", c.parkedOn(k), waiters)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	owner.Abort()
 
 	for i := 0; i < waiters; i++ {
@@ -323,8 +343,11 @@ func TestConcurrentStorm(t *testing.T) {
 						t.Errorf("key %d: %d concurrent owners", id, n)
 					}
 					computations[id].Add(1)
-					h.Complete(want, Meta{SavedBytes: valSize})
+					// Leave ownership before publishing: once Complete
+					// returns, eviction churn may legitimately let another
+					// goroutine miss and own the key again.
 					inflight[id].Add(-1)
+					h.Complete(want, Meta{SavedBytes: valSize})
 				case Hit, Coalesced:
 					if !bytes.Equal(h.Bytes(), want) {
 						t.Errorf("key %d: cached bytes differ", id)

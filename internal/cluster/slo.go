@@ -1,46 +1,13 @@
 package cluster
 
-import (
-	"fmt"
+import "ceresz/internal/telemetry"
 
-	"ceresz/internal/telemetry"
-)
-
-// SLO objective binding for the proxy tier. Same spec grammar as the
-// backend ("compress:p99<25ms:99.9", "decompress:err:99.95"), bound to
-// the proxy's own RED instruments — proxy.<ep>.latency_us for latency
-// SLIs, proxy.<ep>.requests / proxy.<ep>.status_5xx for error SLIs — so
-// one -slo flag syntax describes either tier and the PR-10 burn-rate
-// machinery runs unchanged on the router.
-
-// ParseObjectives parses a comma-separated SLO spec list and binds each
-// objective to the subject endpoint's proxy instruments. Unknown
-// subjects are an error, matching server.ParseObjectives.
+// ParseObjectives parses a comma-separated SLO spec list with the same
+// grammar as the backend's ("compress:p99<25ms:99.9") and binds each
+// objective to the proxy's own proxy.<ep>.* RED instruments
+// (telemetry.BindObjectives), so one -slo flag syntax describes either
+// tier and the burn-rate machinery runs unchanged on the router. Unknown
+// endpoints are an error, matching server.ParseObjectives.
 func ParseObjectives(raw string) ([]telemetry.Objective, error) {
-	specs, err := telemetry.ParseSLOSpecs(raw)
-	if err != nil {
-		return nil, err
-	}
-	objs := make([]telemetry.Objective, 0, len(specs))
-	for _, spec := range specs {
-		known := false
-		for _, name := range epNames {
-			if spec.Subject == name {
-				known = true
-				break
-			}
-		}
-		if !known {
-			return nil, fmt.Errorf("slo %q: unknown endpoint %q (have %v)", spec.Raw, spec.Subject, epNames)
-		}
-		o := telemetry.Objective{Spec: spec}
-		if spec.SLI == "err" {
-			o.TotalCounter = "proxy." + spec.Subject + ".requests"
-			o.BadCounter = "proxy." + spec.Subject + ".status_5xx"
-		} else {
-			o.HistName = "proxy." + spec.Subject + ".latency_us"
-		}
-		objs = append(objs, o)
-	}
-	return objs, nil
+	return telemetry.BindObjectives(raw, "proxy", epNames[:])
 }

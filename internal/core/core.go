@@ -5,6 +5,15 @@
 // by the simulated Cerebras WSE pipeline (internal/wse, internal/mapping),
 // whose output is bit-identical to this package's.
 //
+// The codec is one implementation generic over the element type (Float:
+// float32 or float64). Quantization codes and the fixed-length block format
+// are the same for both; only the verbatim payload width and the rounding
+// of the reconstruction differ, and Go compiles each element type
+// separately, so neither pays for the other. Several SDRBench archives
+// (QMCPack among them) ship double-precision fields, so a usable
+// reproduction needs the float64 path even though the paper's evaluation
+// runs on float32.
+//
 // The host hot path runs the three stages as one fused pass per block
 // (fusedForward: quantize, strictness check, Lorenzo delta, sign split and
 // width in a single loop, then a word-parallel bit shuffle straight into
@@ -45,8 +54,12 @@ import (
 	"ceresz/internal/hostpool"
 	"ceresz/internal/lorenzo"
 	"ceresz/internal/quant"
+	"ceresz/internal/rawfloat"
 	"ceresz/internal/telemetry"
 )
+
+// Float is the element-type constraint of the codec.
+type Float = rawfloat.Float
 
 // Telemetry instruments for the host path (telemetry.Default, disabled
 // unless a CLI opts in). Per-block cost when disabled is one predictable
@@ -149,14 +162,16 @@ type Stats struct {
 	CompressedBytes int
 	// Eps is the resolved absolute error bound.
 	Eps float64
+	// Elem is the element type of the input.
+	Elem Elem
 }
 
-// Ratio returns original size / compressed size for float32 input.
+// Ratio returns original size / compressed size.
 func (s *Stats) Ratio() float64 {
 	if s.CompressedBytes == 0 {
 		return 0
 	}
-	return float64(4*s.Elements) / float64(s.CompressedBytes)
+	return float64(s.Elem.Size()*s.Elements) / float64(s.CompressedBytes)
 }
 
 // MeanWidth returns the average fixed length over non-zero, non-verbatim
@@ -212,7 +227,7 @@ var ErrBadStream = errors.New("core: malformed stream")
 
 // Compress appends the CereSZ stream for data to dst (which may be nil) and
 // returns the extended slice together with compression statistics.
-func Compress(dst []byte, data []float32, opts Options) ([]byte, *Stats, error) {
+func Compress[T Float](dst []byte, data []T, opts Options) ([]byte, *Stats, error) {
 	stats := new(Stats)
 	dst, err := CompressInto(dst, data, opts, stats)
 	if err != nil {
@@ -224,7 +239,7 @@ func Compress(dst []byte, data []float32, opts Options) ([]byte, *Stats, error) 
 // CompressInto is Compress writing its statistics into a caller-provided
 // Stats (overwritten, not accumulated). With Workers ≤ 1 and a dst of
 // sufficient capacity it performs zero allocations in steady state.
-func CompressInto(dst []byte, data []float32, opts Options, stats *Stats) ([]byte, error) {
+func CompressInto[T Float](dst []byte, data []T, opts Options, stats *Stats) ([]byte, error) {
 	opts = opts.withDefaults()
 	if err := opts.validate(); err != nil {
 		return dst, err
@@ -239,7 +254,7 @@ func CompressInto(dst []byte, data []float32, opts Options, stats *Stats) ([]byt
 
 // CompressWithEps is Compress with a pre-resolved absolute bound; the
 // baselines use it to guarantee all compressors see the same ε.
-func CompressWithEps(dst []byte, data []float32, eps float64, opts Options) ([]byte, *Stats, error) {
+func CompressWithEps[T Float](dst []byte, data []T, eps float64, opts Options) ([]byte, *Stats, error) {
 	stats := new(Stats)
 	dst, err := CompressWithEpsInto(dst, data, eps, opts, stats)
 	if err != nil {
@@ -250,7 +265,7 @@ func CompressWithEps(dst []byte, data []float32, eps float64, opts Options) ([]b
 
 // CompressWithEpsInto is CompressWithEps writing into a caller-provided
 // Stats, allocation-free in steady state like CompressInto.
-func CompressWithEpsInto(dst []byte, data []float32, eps float64, opts Options, stats *Stats) ([]byte, error) {
+func CompressWithEpsInto[T Float](dst []byte, data []T, eps float64, opts Options, stats *Stats) ([]byte, error) {
 	opts = opts.withDefaults()
 	if err := opts.validate(); err != nil {
 		return dst, err
@@ -261,7 +276,7 @@ func CompressWithEpsInto(dst []byte, data []float32, eps float64, opts Options, 
 	return compressEps(dst, data, eps, opts, stats)
 }
 
-func compressEps(dst []byte, data []float32, eps float64, opts Options, stats *Stats) ([]byte, error) {
+func compressEps[T Float](dst []byte, data []T, eps float64, opts Options, stats *Stats) ([]byte, error) {
 	defer telCompress.Start().End()
 	q, err := quant.MakeQuantizer(eps)
 	if err != nil {
@@ -269,8 +284,9 @@ func compressEps(dst []byte, data []float32, eps float64, opts Options, stats *S
 	}
 	L := opts.BlockLen
 	nBlocks := (len(data) + L - 1) / L
+	elem := ElemFor[T]()
 
-	*stats = Stats{Elements: len(data), Blocks: nBlocks, Eps: eps}
+	*stats = Stats{Elements: len(data), Blocks: nBlocks, Eps: eps, Elem: elem}
 
 	// Container header.
 	start := len(dst)
@@ -279,6 +295,7 @@ func compressEps(dst []byte, data []float32, eps float64, opts Options, stats *S
 		BlockLen:    L,
 		Elements:    len(data),
 		Eps:         eps,
+		Elem:        elem,
 	})
 
 	if nBlocks == 0 {
@@ -291,7 +308,7 @@ func compressEps(dst []byte, data []float32, eps float64, opts Options, stats *S
 		workers = nBlocks
 	}
 	if workers <= 1 {
-		enc := getEncoder(L, opts.HeaderBytes, q)
+		enc := getEncoder[T](L, opts.HeaderBytes, q)
 		for b := 0; b < nBlocks; b++ {
 			dst = enc.encode(dst, blockSlice(data, b, L), stats)
 		}
@@ -310,11 +327,11 @@ func compressEps(dst []byte, data []float32, eps float64, opts Options, stats *S
 	hostpool.Run(workers, nBlocks, func(k, lo, hi int) {
 		telWorkers.Add(1)
 		defer telWorkers.Add(-1)
-		enc := getEncoder(L, opts.HeaderBytes, q)
+		enc := getEncoder[T](L, opts.HeaderBytes, q)
 		sb := &shards[k]
 		sb.stats = Stats{}
 		// Worst case: every block verbatim.
-		sb.buf = slices.Grow(sb.buf[:0], (hi-lo)*flenc.VerbatimSize(L, opts.HeaderBytes))
+		sb.buf = slices.Grow(sb.buf[:0], (hi-lo)*(opts.HeaderBytes+elem.Size()*L))
 		for b := lo; b < hi; b++ {
 			sb.buf = enc.encode(sb.buf, blockSlice(data, b, L), &sb.stats)
 		}
@@ -341,7 +358,7 @@ func recordCompressTelemetry(stats *Stats) {
 		return
 	}
 	telCompressBlocks.Add(int64(stats.Blocks))
-	telCompressBytesIn.Add(int64(4 * stats.Elements))
+	telCompressBytesIn.Add(int64(stats.Elem.Size() * stats.Elements))
 	telCompressBytesOut.Add(int64(stats.CompressedBytes))
 	telCompressZero.Add(int64(stats.ZeroBlocks))
 	telCompressVerbatim.Add(int64(stats.VerbatimBlocks))
@@ -377,7 +394,7 @@ func getShards(n int) *[]shardBuf {
 func putShards(p *[]shardBuf) { shardSetPool.Put(p) }
 
 // blockSlice returns block b of data (length ≤ L; the caller pads).
-func blockSlice(data []float32, b, L int) []float32 {
+func blockSlice[T Float](data []T, b, L int) []T {
 	lo := b * L
 	hi := lo + L
 	if hi > len(data) {
@@ -388,13 +405,13 @@ func blockSlice(data []float32, b, L int) []float32 {
 
 // blockEncoder holds the per-worker scratch state for encoding blocks,
 // plus local (unsynchronized) telemetry accumulators flushed once per
-// worker. Encoders are recycled through encoderPool; getEncoder resets the
+// worker. Encoders are recycled through encoderPools; getEncoder resets the
 // per-pass state and rebuilds the buffers only when L changes.
-type blockEncoder struct {
+type blockEncoder[T Float] struct {
 	L       int
 	hdr     int
 	q       quant.Quantizer
-	padded  []float32
+	padded  []T
 	scaled  []float64
 	codes   []int32
 	scratch *flenc.Block
@@ -405,12 +422,12 @@ type blockEncoder struct {
 	sampled                      int64
 }
 
-func newBlockEncoder(L, headerBytes int, q quant.Quantizer) *blockEncoder {
-	return &blockEncoder{
+func newBlockEncoder[T Float](L, headerBytes int, q quant.Quantizer) *blockEncoder[T] {
+	return &blockEncoder[T]{
 		L:       L,
 		hdr:     headerBytes,
 		q:       q,
-		padded:  make([]float32, L),
+		padded:  make([]T, L),
 		scaled:  make([]float64, L),
 		codes:   make([]int32, L),
 		scratch: flenc.NewBlock(L),
@@ -418,12 +435,15 @@ func newBlockEncoder(L, headerBytes int, q quant.Quantizer) *blockEncoder {
 	}
 }
 
-var encoderPool sync.Pool
+// encoderPools and decoderPools keep one pool per element type (indexed
+// by Elem): a single pool shared by both types would drop the pooled
+// scratch of one type whenever calls alternate between them.
+var encoderPools, decoderPools [2]sync.Pool
 
-func getEncoder(L, headerBytes int, q quant.Quantizer) *blockEncoder {
-	e, _ := encoderPool.Get().(*blockEncoder)
+func getEncoder[T Float](L, headerBytes int, q quant.Quantizer) *blockEncoder[T] {
+	e, _ := encoderPools[ElemFor[T]()].Get().(*blockEncoder[T])
 	if e == nil || e.L != L {
-		return newBlockEncoder(L, headerBytes, q)
+		return newBlockEncoder[T](L, headerBytes, q)
 	}
 	e.hdr = headerBytes
 	e.q = q
@@ -435,18 +455,18 @@ func getEncoder(L, headerBytes int, q quant.Quantizer) *blockEncoder {
 
 // putEncoder flushes the encoder's sampled stage timings — one batch of
 // atomic adds per worker, not per block — and recycles it.
-func putEncoder(e *blockEncoder) {
+func putEncoder[T Float](e *blockEncoder[T]) {
 	if e.sampled != 0 {
 		telStageQuantNs.Add(e.quantNs)
 		telStageLorenzoNs.Add(e.lorenzoNs)
 		telStageEncodeNs.Add(e.encodeNs)
 		telStageSampled.Add(e.sampled)
 	}
-	encoderPool.Put(e)
+	encoderPools[ElemFor[T]()].Put(e)
 }
 
 // encode appends one encoded block to dst, updating stats.
-func (e *blockEncoder) encode(dst []byte, block []float32, stats *Stats) []byte {
+func (e *blockEncoder[T]) encode(dst []byte, block []T, stats *Stats) []byte {
 	src := block
 	if len(block) < e.L {
 		copy(e.padded, block)
@@ -484,7 +504,7 @@ func (e *blockEncoder) encode(dst []byte, block []float32, stats *Stats) []byte 
 // element fails the int32-range check or the strictness check, so exiting
 // at the first failure — before the later checks run — selects the same
 // blocks, and verbatim payloads are the raw floats regardless.
-func (e *blockEncoder) fusedForward(src []float32) (w uint, ok bool) {
+func (e *blockEncoder[T]) fusedForward(src []T) (w uint, ok bool) {
 	abs := e.scratch.Abs[:e.L]
 	signs := e.scratch.Signs[:e.L/8]
 	recip, twoE, eps := e.q.Recip(), e.q.TwoEps(), e.q.Eps()
@@ -503,9 +523,9 @@ func (e *blockEncoder) fusedForward(src []float32) (w uint, ok bool) {
 				return 0, false
 			}
 			p := int32(f)
-			// Strictness: the float32 rounding of p·2ε can exceed ε when
+			// Strictness: the rounding of p·2ε to T can exceed ε when
 			// ε < ulp(x)/2; such blocks go verbatim (see encodeRef).
-			rec := float32(float64(p) * twoE)
+			rec := T(float64(p) * twoE)
 			if !(math.Abs(float64(rec)-float64(x)) <= eps) {
 				return 0, false
 			}
@@ -530,24 +550,24 @@ func (e *blockEncoder) fusedForward(src []float32) (w uint, ok bool) {
 // asserts this), which is why telemetry-sampled blocks can run it without
 // perturbing the stream: the per-stage timing split it records keeps
 // modeling the pipeline stages that the fused kernel collapses.
-func (e *blockEncoder) encodeRef(dst []byte, src []float32, stats *Stats) []byte {
+func (e *blockEncoder[T]) encodeRef(dst []byte, src []T, stats *Stats) []byte {
 	t0 := time.Now()
 	// Stage ①: pre-quantization (Mul then Round, paper Table 2).
-	e.q.MulF32(e.scaled, src)
+	quant.Mul(&e.q, e.scaled, src)
 	if !quant.Round(e.codes, e.scaled) {
 		// Quantization overflow (or NaN/Inf): store the block verbatim.
 		stats.VerbatimBlocks++
 		return appendVerbatim(dst, src, e.hdr)
 	}
 	// Strictness check: p·2ε is within ε of the input in float64, but the
-	// final float32 rounding of the reconstruction can add up to half a ulp
+	// final rounding of the reconstruction to T can add up to half a ulp
 	// of the value. When ε is below that (ε < ulp(v)/2 — e.g. very tight
 	// ABS bounds on large magnitudes) no quantized representation can honor
 	// the bound, so store the block verbatim. This is the fixed-length
 	// analogue of SZ's "unpredictable data" path; on the paper's REL
 	// 1e-2…1e-4 regimes it never triggers.
 	for i, p := range e.codes {
-		rec := float32(float64(p) * e.q.TwoEps())
+		rec := T(float64(p) * e.q.TwoEps())
 		if !(math.Abs(float64(rec)-float64(src[i])) <= e.q.Eps()) {
 			stats.VerbatimBlocks++
 			return appendVerbatim(dst, src, e.hdr)
@@ -593,7 +613,7 @@ func quantizeStrict32(q *quant.Quantizer, codes []int32, src []float32) bool {
 	return true
 }
 
-func appendVerbatim(dst []byte, block []float32, headerBytes int) []byte {
+func appendVerbatim[T Float](dst []byte, block []T, headerBytes int) []byte {
 	switch headerBytes {
 	case flenc.HeaderU32:
 		var h [4]byte
@@ -604,11 +624,7 @@ func appendVerbatim(dst []byte, block []float32, headerBytes int) []byte {
 	default:
 		panic(fmt.Sprintf("core: unsupported header size %d", headerBytes))
 	}
-	dst = slices.Grow(dst, 4*len(block))
-	for _, v := range block {
-		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(v))
-	}
-	return dst
+	return rawfloat.Append(dst, block)
 }
 
 // AppendStreamHeader appends the 24-byte container header described by m.
@@ -626,9 +642,9 @@ func AppendStreamHeader(dst []byte, m Meta) []byte {
 }
 
 // scanOffsets walks the stream body filling offsets (length blocks+1) with
-// the byte offset of every block plus a final end offset. elemSize is the
-// verbatim payload element width (4 for float32, 8 for float64).
-func scanOffsets(body []byte, m Meta, offsets []int, elemSize int) error {
+// the byte offset of every block plus a final end offset. Verbatim payloads
+// are m.Elem.Size() bytes per element.
+func scanOffsets(body []byte, m Meta, offsets []int) error {
 	nBlocks := m.Blocks()
 	pos := 0
 	for b := 0; b < nBlocks; b++ {
@@ -641,7 +657,7 @@ func scanOffsets(body []byte, m Meta, offsets []int, elemSize int) error {
 		case v == flenc.ZeroMarker:
 			pos += n
 		case v == flenc.VerbatimU32:
-			pos += m.HeaderBytes + elemSize*m.BlockLen
+			pos += m.HeaderBytes + m.Elem.Size()*m.BlockLen
 		case v <= flenc.MaxWidth:
 			pos += flenc.EncodedSize(uint(v), m.BlockLen, m.HeaderBytes)
 		default:
@@ -674,21 +690,17 @@ func getOffsets(n int) *[]int {
 // BlockOffsets parses the container header and scans the stream body,
 // returning the parsed metadata and the byte offsets (relative to the body
 // start, StreamHeaderSize) of every block plus a final end offset —
-// offsets[b]..offsets[b+1] delimits block b. Float32 streams only; the
-// float64 path has its own scan (wider verbatim payloads).
+// offsets[b]..offsets[b+1] delimits block b.
 func BlockOffsets(comp []byte) (Meta, []int, error) {
 	m, err := ParseHeader(comp)
 	if err != nil {
 		return m, nil, err
 	}
-	if m.Elem != Float32 {
-		return m, nil, fmt.Errorf("%w: stream holds %s elements, expected float32", ErrBadStream, m.Elem)
-	}
 	if err := checkPlausible(m, len(comp)); err != nil {
 		return m, nil, err
 	}
 	offsets := make([]int, m.Blocks()+1)
-	if err := scanOffsets(comp[StreamHeaderSize:], m, offsets, 4); err != nil {
+	if err := scanOffsets(comp[StreamHeaderSize:], m, offsets); err != nil {
 		return m, nil, err
 	}
 	return m, offsets, nil
@@ -737,13 +749,24 @@ func ParseHeader(comp []byte) (Meta, error) {
 // pool, negative = GOMAXPROCS. With workers 0/1 and a dst of sufficient
 // capacity it performs zero allocations in steady state.
 func Decompress(dst []float32, comp []byte, workers int) ([]float32, Meta, error) {
+	return DecompressInto(dst, comp, workers)
+}
+
+// Decompress64 is Decompress for streams of float64 elements.
+func Decompress64(dst []float64, comp []byte, workers int) ([]float64, Meta, error) {
+	return DecompressInto(dst, comp, workers)
+}
+
+// DecompressInto is Decompress generic over the element type: the stream's
+// element type must be T.
+func DecompressInto[T Float](dst []T, comp []byte, workers int) ([]T, Meta, error) {
 	defer telDecompress.Start().End()
 	m, err := ParseHeader(comp)
 	if err != nil {
 		return dst, m, err
 	}
-	if m.Elem != Float32 {
-		return dst, m, fmt.Errorf("%w: stream holds %s elements, expected float32", ErrBadStream, m.Elem)
+	if want := ElemFor[T](); m.Elem != want {
+		return dst, m, fmt.Errorf("%w: stream holds %s elements, expected %s", ErrBadStream, m.Elem, want)
 	}
 	if err := checkPlausible(m, len(comp)); err != nil {
 		return dst, m, err
@@ -758,7 +781,7 @@ func Decompress(dst []float32, comp []byte, workers int) ([]float32, Meta, error
 	op := getOffsets(nBlocks + 1)
 	defer offsetsPool.Put(op)
 	offsets := *op
-	if err := scanOffsets(body, m, offsets, 4); err != nil {
+	if err := scanOffsets(body, m, offsets); err != nil {
 		return dst, m, err
 	}
 
@@ -778,9 +801,9 @@ func Decompress(dst []float32, comp []byte, workers int) ([]float32, Meta, error
 		workers = nBlocks
 	}
 	if workers <= 1 {
-		dec := getDecoder(L, m.HeaderBytes, q)
+		dec := getDecoder[T](L, m.HeaderBytes, q)
 		for b := 0; b < nBlocks; b++ {
-			if err := dec.decode(outBlock(out, b, L), body[offsets[b]:offsets[b+1]]); err != nil {
+			if err := dec.decode(blockSlice(out, b, L), body[offsets[b]:offsets[b+1]]); err != nil {
 				putDecoder(dec)
 				return dst, m, fmt.Errorf("%w: block %d: %v", ErrBadStream, b, err)
 			}
@@ -798,10 +821,10 @@ func Decompress(dst []float32, comp []byte, workers int) ([]float32, Meta, error
 		telWorkers.Add(1)
 		defer telWorkers.Add(-1)
 		shards[k].err = nil
-		dec := getDecoder(L, m.HeaderBytes, q)
+		dec := getDecoder[T](L, m.HeaderBytes, q)
 		defer putDecoder(dec)
 		for b := lo; b < hi; b++ {
-			if err := dec.decode(outBlock(out, b, L), body[offsets[b]:offsets[b+1]]); err != nil {
+			if err := dec.decode(blockSlice(out, b, L), body[offsets[b]:offsets[b+1]]); err != nil {
 				shards[k].err = fmt.Errorf("%w: block %d: %v", ErrBadStream, b, err)
 				return
 			}
@@ -829,44 +852,24 @@ func recordDecompressTelemetry(m Meta, compBytes int) {
 	}
 	telDecompressBlocks.Add(int64(m.Blocks()))
 	telDecompressBytesIn.Add(int64(compBytes))
-	telDecompressBytesOut.Add(int64(4 * m.Elements))
+	telDecompressBytesOut.Add(int64(m.Elem.Size() * m.Elements))
 }
 
-func outBlock(out []float32, b, L int) []float32 {
-	lo := b * L
-	hi := lo + L
-	if hi > len(out) {
-		hi = len(out)
-	}
-	return out[lo:hi]
-}
-
-func outBlock64(out []float64, b, L int) []float64 {
-	lo := b * L
-	hi := lo + L
-	if hi > len(out) {
-		hi = len(out)
-	}
-	return out[lo:hi]
-}
-
-// blockDecoder holds per-worker decode scratch, recycled via decoderPool.
-type blockDecoder struct {
+// blockDecoder holds per-worker decode scratch, recycled via decoderPools.
+type blockDecoder[T Float] struct {
 	L       int
 	hdr     int
 	q       quant.Quantizer
-	full    []float32
+	full    []T
 	scratch *flenc.Block
 }
 
-var decoderPool sync.Pool
-
-func getDecoder(L, headerBytes int, q quant.Quantizer) *blockDecoder {
-	d, _ := decoderPool.Get().(*blockDecoder)
+func getDecoder[T Float](L, headerBytes int, q quant.Quantizer) *blockDecoder[T] {
+	d, _ := decoderPools[ElemFor[T]()].Get().(*blockDecoder[T])
 	if d == nil || d.L != L {
-		d = &blockDecoder{
+		d = &blockDecoder[T]{
 			L:       L,
-			full:    make([]float32, L),
+			full:    make([]T, L),
 			scratch: flenc.NewBlock(L),
 		}
 	}
@@ -875,27 +878,24 @@ func getDecoder(L, headerBytes int, q quant.Quantizer) *blockDecoder {
 	return d
 }
 
-func putDecoder(d *blockDecoder) { decoderPool.Put(d) }
+func putDecoder[T Float](d *blockDecoder[T]) { decoderPools[ElemFor[T]()].Put(d) }
 
 // decode reconstructs one block (len(out) ≤ L for the trailing block),
 // fusing the reverse stages: after the word-parallel unshuffle, one loop
 // merges signs, runs the Lorenzo prefix sum and dequantizes — the same
-// int32 wraparound arithmetic and float64→float32 rounding as the unfused
+// int32 wraparound arithmetic and float64→T rounding as the unfused
 // MergeSigns → lorenzo.Inverse → Dequantize sequence, so output bits are
 // identical (DecodeBlockRef-based differential fuzz asserts it).
-func (d *blockDecoder) decode(out []float32, src []byte) error {
+func (d *blockDecoder[T]) decode(out []T, src []byte) error {
 	v, n, err := flenc.Header(src, d.hdr)
 	if err != nil {
 		return err
 	}
 	if v == flenc.VerbatimU32 {
-		if len(src) < n+4*d.L {
+		if len(src) < n+rawfloat.Size[T]()*d.L {
 			return fmt.Errorf("truncated verbatim block")
 		}
-		for i := range out {
-			bits := binary.LittleEndian.Uint32(src[n+4*i:])
-			out[i] = math.Float32frombits(bits)
-		}
+		rawfloat.Decode(out, src[n:])
 		return nil
 	}
 	// Reverse stage ③: validate and split the body, then unshuffle all
@@ -924,10 +924,66 @@ func (d *blockDecoder) decode(out []float32, src []byte) error {
 			dlt = int32(-int64(u))
 		}
 		acc += dlt
-		full[i] = float32(float64(acc) * twoE)
+		full[i] = T(float64(acc) * twoE)
 	}
 	if len(out) < d.L {
 		copy(out, full[:len(out)])
 	}
 	return nil
+}
+
+const (
+	elemF32 byte = 0
+	elemF64 byte = 1
+)
+
+// Elem identifies a stream's element type.
+type Elem byte
+
+// Element types.
+const (
+	Float32 Elem = Elem(elemF32)
+	Float64 Elem = Elem(elemF64)
+)
+
+func (e Elem) String() string {
+	switch e {
+	case Float32:
+		return "float32"
+	case Float64:
+		return "float64"
+	default:
+		return fmt.Sprintf("Elem(%d)", byte(e))
+	}
+}
+
+// Size returns the element size in bytes.
+func (e Elem) Size() int {
+	if e == Float64 {
+		return 8
+	}
+	return 4
+}
+
+// ElemFor returns the element type of T.
+func ElemFor[T Float]() Elem {
+	if rawfloat.Size[T]() == 8 {
+		return Float64
+	}
+	return Float32
+}
+
+// ElemOf returns the element type of a stream without fully parsing it.
+func ElemOf(comp []byte) (Elem, error) {
+	if len(comp) < StreamHeaderSize {
+		return Float32, fmt.Errorf("%w: short stream", ErrBadStream)
+	}
+	switch comp[5] {
+	case elemF32:
+		return Float32, nil
+	case elemF64:
+		return Float64, nil
+	default:
+		return Float32, fmt.Errorf("%w: unknown element type %d", ErrBadStream, comp[5])
+	}
 }

@@ -34,7 +34,7 @@ func maxAbsErr64(a, b []float64) float64 {
 func TestRoundTrip64(t *testing.T) {
 	data := smoothField64(10_000, 1)
 	for _, bound := range []quant.Bound{quant.REL(1e-3), quant.REL(1e-6), quant.ABS(1e-4)} {
-		comp, stats, err := Compress64(nil, data, Options{Bound: bound})
+		comp, stats, err := Compress(nil, data, Options{Bound: bound})
 		if err != nil {
 			t.Fatalf("%v: %v", bound, err)
 		}
@@ -63,7 +63,7 @@ func TestRoundTrip64TighterThanF32(t *testing.T) {
 	// point of the f64 path. ε = 1e-9 on O(1) values would force the f32
 	// path verbatim; the f64 path compresses.
 	data := smoothField64(4096, 2)
-	comp, stats, err := Compress64WithEps(nil, data, 1e-9, Options{})
+	comp, stats, err := CompressWithEps(nil, data, 1e-9, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestElemTypeMismatchRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c64, _, err := Compress64WithEps(nil, d64, 1e-3, Options{})
+	c64, _, err := CompressWithEps(nil, d64, 1e-3, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestVerbatim64(t *testing.T) {
 	for i := range data {
 		data[i] = 1e200 * float64(1+i) // overflows int32 quantization
 	}
-	comp, stats, err := Compress64WithEps(nil, data, 1e-6, Options{})
+	comp, stats, err := CompressWithEps(nil, data, 1e-6, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,11 +137,11 @@ func TestVerbatim64(t *testing.T) {
 
 func TestSequentialParallelIdentical64(t *testing.T) {
 	data := smoothField64(32*1024+9, 4)
-	seq, _, err := Compress64WithEps(nil, data, 1e-4, Options{Workers: 1})
+	seq, _, err := CompressWithEps(nil, data, 1e-4, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, _, err := Compress64WithEps(nil, data, 1e-4, Options{Workers: 7})
+	par, _, err := CompressWithEps(nil, data, 1e-4, Options{Workers: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestSequentialParallelIdentical64(t *testing.T) {
 
 func TestTruncated64(t *testing.T) {
 	data := smoothField64(640, 5)
-	comp, _, err := Compress64WithEps(nil, data, 1e-4, Options{})
+	comp, _, err := CompressWithEps(nil, data, 1e-4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestQuick64ErrorBound(t *testing.T) {
 			data[i] = float64(r%1_000_000) / 1000
 		}
 		eps := math.Pow(10, -float64(3+epsExp%6)) // 1e-3 … 1e-8
-		comp, _, err := Compress64WithEps(nil, data, eps, Options{})
+		comp, _, err := CompressWithEps(nil, data, eps, Options{})
 		if err != nil {
 			return false
 		}

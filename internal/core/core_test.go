@@ -326,7 +326,7 @@ func TestStatsConsistency(t *testing.T) {
 }
 
 func TestEmptyInput(t *testing.T) {
-	comp, stats, err := Compress(nil, nil, Options{Bound: quant.ABS(1)})
+	comp, stats, err := Compress(nil, []float32(nil), Options{Bound: quant.ABS(1)})
 	if err != nil {
 		t.Fatal(err)
 	}

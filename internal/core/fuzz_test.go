@@ -54,7 +54,7 @@ func FuzzDecompress64(f *testing.F) {
 	for i := range data {
 		data[i] = math.Cos(float64(i) * 0.05)
 	}
-	comp, _, err := Compress64WithEps(nil, data, 1e-9, Options{Workers: 1})
+	comp, _, err := CompressWithEps(nil, data, 1e-9, Options{Workers: 1})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -73,9 +73,9 @@ func FuzzDecompress64(f *testing.F) {
 
 // compressRef mirrors the sequential compressEps loop but drives every
 // block through the retained stage-by-stage pipeline (encodeRef →
-// flenc.EncodeBlockRef), giving FuzzHostKernels a scalar-reference stream
-// to compare the fused SWAR output against.
-func compressRef(data []float32, eps float64, opts Options) ([]byte, error) {
+// flenc.EncodeBlockRef), giving FuzzHostKernels and FuzzHostKernels64 a
+// scalar-reference stream to compare the fused SWAR output against.
+func compressRef[T Float](data []T, eps float64, opts Options) ([]byte, error) {
 	opts = opts.withDefaults()
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -91,9 +91,10 @@ func compressRef(data []float32, eps float64, opts Options) ([]byte, error) {
 		BlockLen:    L,
 		Elements:    len(data),
 		Eps:         eps,
+		Elem:        ElemFor[T](),
 	})
 	var stats Stats
-	enc := newBlockEncoder(L, opts.HeaderBytes, q)
+	enc := newBlockEncoder[T](L, opts.HeaderBytes, q)
 	for b := 0; b < nBlocks; b++ {
 		block := blockSlice(data, b, L)
 		src := block
@@ -125,7 +126,7 @@ func decompressRef(comp []byte) ([]float32, error) {
 	full := make([]float32, L)
 	scratch := flenc.NewBlock(L)
 	for b := 0; b < m.Blocks(); b++ {
-		dst := outBlock(out, b, L)
+		dst := blockSlice(out, b, L)
 		src := body[offsets[b]:offsets[b+1]]
 		v, n, err := flenc.Header(src, m.HeaderBytes)
 		if err != nil {
@@ -204,7 +205,7 @@ func FuzzHostKernels(f *testing.F) {
 }
 
 // FuzzHostKernels64 is the float64 differential twin, driven through the
-// blockEncoder64 reference.
+// same reference pipeline instantiated for float64.
 func FuzzHostKernels64(f *testing.F) {
 	f.Add(make([]byte, 256), uint8(0))
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, uint8(5))
@@ -216,30 +217,16 @@ func FuzzHostKernels64(f *testing.F) {
 		}
 		opts := Options{BlockLen: 8 * (1 + int(blockSel)%12), Workers: 1}.withDefaults()
 		const eps = 1e-6
-		comp, _, err := Compress64WithEps(nil, data, eps, opts)
+		comp, _, err := CompressWithEps(nil, data, eps, opts)
 		if err != nil {
 			t.Fatalf("compress64: %v", err)
 		}
-		q, err := quant.MakeQuantizer(eps)
+		ref, err := compressRef(data, eps, opts)
 		if err != nil {
-			t.Fatal(err)
-		}
-		L := opts.BlockLen
-		ref := appendStreamHeader64(nil, opts.HeaderBytes, L, n, eps)
-		var stats Stats
-		enc := newBlockEncoder64(L, opts.HeaderBytes, q)
-		for b := 0; b < (n+L-1)/L; b++ {
-			block := blockSlice64(data, b, L)
-			src := block
-			if len(block) < L {
-				copy(enc.padded, block)
-				clear(enc.padded[len(block):])
-				src = enc.padded
-			}
-			ref = enc.encodeRef(ref, src, &stats)
+			t.Fatalf("compressRef: %v", err)
 		}
 		if !bytes.Equal(comp, ref) {
-			t.Fatalf("fused float64 stream differs from scalar reference (n=%d L=%d)", n, L)
+			t.Fatalf("fused float64 stream differs from scalar reference (n=%d L=%d)", n, opts.BlockLen)
 		}
 		out, _, err := Decompress64(nil, comp, 1)
 		if err != nil {

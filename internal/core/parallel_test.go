@@ -122,7 +122,7 @@ func TestParallelCompress64ByteIdentity(t *testing.T) {
 			} else {
 				bound = quant.ABS(1e-6)
 			}
-			seq, _, err := Compress64(nil, data, Options{Bound: bound, Workers: 1})
+			seq, _, err := Compress(nil, data, Options{Bound: bound, Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -131,7 +131,7 @@ func TestParallelCompress64ByteIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, w := range parallelTestWorkers() {
-				par, _, err := Compress64(nil, data, Options{Bound: bound, Workers: w})
+				par, _, err := Compress(nil, data, Options{Bound: bound, Workers: w})
 				if err != nil {
 					t.Fatalf("n=%d rel=%v workers=%d: %v", n, rel, w, err)
 				}

@@ -8,6 +8,7 @@ import (
 	"ceresz/internal/flenc"
 	"ceresz/internal/lorenzo"
 	"ceresz/internal/quant"
+	"ceresz/internal/rawfloat"
 )
 
 // Tiled 2D-Lorenzo variant. The paper keeps CereSZ's predictor 1D for
@@ -77,14 +78,13 @@ func CompressTiled(dst []byte, data []float32, d lorenzo.Dims, eps float64, opts
 	stats := &Stats{Elements: len(data), Blocks: nTiles, Eps: eps}
 
 	start := len(dst)
-	var hdr [StreamHeaderSize]byte
-	copy(hdr[0:4], Magic[:])
-	hdr[4] = byte(opts.HeaderBytes)
-	hdr[5] = elemF32Tiled
-	binary.LittleEndian.PutUint16(hdr[6:8], uint16(opts.BlockLen))
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(len(data)))
-	binary.LittleEndian.PutUint64(hdr[16:24], math.Float64bits(eps))
-	dst = append(dst, hdr[:]...)
+	dst = AppendStreamHeader(dst, Meta{
+		HeaderBytes: opts.HeaderBytes,
+		BlockLen:    opts.BlockLen,
+		Elements:    len(data),
+		Eps:         eps,
+		Elem:        Elem(elemF32Tiled),
+	})
 
 	var (
 		tile    [tileW * tileH]float32
@@ -168,9 +168,7 @@ func DecompressTiled(dst []float32, comp []byte, d lorenzo.Dims) ([]float32, err
 			if len(body)-pos < hn+4*tileW*tileH {
 				return dst, fmt.Errorf("%w: tile %d: truncated verbatim tile", ErrBadStream, t)
 			}
-			for i := range tile {
-				tile[i] = math.Float32frombits(binary.LittleEndian.Uint32(body[pos+hn+4*i:]))
-			}
+			rawfloat.Decode(tile[:], body[pos+hn:])
 			pos += hn + 4*tileW*tileH
 		} else {
 			consumed, err := flenc.DecodeBlock(resid[:], body[pos:], headerBytes, scratch)

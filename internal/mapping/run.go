@@ -343,6 +343,9 @@ func (p *Plan) decompress(comp []byte, traceCap int) (*Result, *wse.Tracer, erro
 	if err != nil {
 		return nil, nil, err
 	}
+	if meta.Elem != core.Float32 {
+		return nil, nil, fmt.Errorf("mapping: stream holds %s elements, the simulated pipeline decodes float32", meta.Elem)
+	}
 	if meta.BlockLen != p.Chain.Cfg.BlockLen {
 		return nil, nil, fmt.Errorf("mapping: stream block length %d does not match plan's %d", meta.BlockLen, p.Chain.Cfg.BlockLen)
 	}

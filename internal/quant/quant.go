@@ -19,6 +19,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"ceresz/internal/rawfloat"
 )
 
 // Mode selects how a Bound's Value is interpreted.
@@ -90,49 +92,31 @@ func (b Bound) Resolve(minVal, maxVal float64) (float64, error) {
 
 // Range returns the min and max of data. NaNs are ignored; if all values are
 // NaN (or data is empty) it returns (0, 0).
-func Range(data []float32) (minVal, maxVal float64) {
-	first := true
-	for _, v := range data {
-		f := float64(v)
-		if math.IsNaN(f) {
-			continue
+func Range[T rawfloat.Float](data []T) (minVal, maxVal float64) {
+	// Skip leading NaNs (the only values unequal to themselves). Every
+	// comparison with a later NaN is false, so the scan below ignores
+	// those without testing for them.
+	i := 0
+	for i < len(data) && data[i] != data[i] {
+		i++
+	}
+	if i == len(data) {
+		return 0, 0
+	}
+	lo, hi := data[i], data[i]
+	for _, v := range data[i+1:] {
+		if v < lo {
+			lo = v
 		}
-		if first {
-			minVal, maxVal = f, f
-			first = false
-			continue
-		}
-		if f < minVal {
-			minVal = f
-		}
-		if f > maxVal {
-			maxVal = f
+		if v > hi {
+			hi = v
 		}
 	}
-	return minVal, maxVal
+	return float64(lo), float64(hi)
 }
 
 // Range64 is Range for float64 data.
-func Range64(data []float64) (minVal, maxVal float64) {
-	first := true
-	for _, v := range data {
-		if math.IsNaN(v) {
-			continue
-		}
-		if first {
-			minVal, maxVal = v, v
-			first = false
-			continue
-		}
-		if v < minVal {
-			minVal = v
-		}
-		if v > maxVal {
-			maxVal = v
-		}
-	}
-	return minVal, maxVal
-}
+func Range64(data []float64) (minVal, maxVal float64) { return Range(data) }
 
 // Quantizer holds the resolved parameters of a quantization pass.
 type Quantizer struct {
@@ -168,21 +152,12 @@ func (q *Quantizer) Recip() float64 { return q.recip }
 // TwoEps returns 2ε, the reconstruction multiplier.
 func (q *Quantizer) TwoEps() float64 { return q.twoE }
 
-// Mul executes the multiplication sub-stage: dst[i] = src[i] · 1/(2ε).
-// dst and src must have equal length (dst may alias src).
-func (q *Quantizer) Mul(dst, src []float64) {
+// Mul executes the multiplication sub-stage: dst[i] = src[i] · 1/(2ε),
+// producing float64 scaled values for either input width. dst and src must
+// have equal length.
+func Mul[T rawfloat.Float](q *Quantizer, dst []float64, src []T) {
 	if len(dst) != len(src) {
 		panic("quant: Mul length mismatch")
-	}
-	for i, v := range src {
-		dst[i] = v * q.recip
-	}
-}
-
-// MulF32 is Mul for float32 input, producing float64 scaled values.
-func (q *Quantizer) MulF32(dst []float64, src []float32) {
-	if len(dst) != len(src) {
-		panic("quant: MulF32 length mismatch")
 	}
 	for i, v := range src {
 		dst[i] = float64(v) * q.recip

@@ -2,6 +2,7 @@ package quant
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -73,13 +74,55 @@ func TestRange(t *testing.T) {
 	if minV != -1 || maxV != 7 {
 		t.Fatalf("Range = (%g,%g), want (-1,7)", minV, maxV)
 	}
-	minV, maxV = Range(nil)
+	minV, maxV = Range[float32](nil)
 	if minV != 0 || maxV != 0 {
 		t.Fatalf("Range(nil) = (%g,%g), want (0,0)", minV, maxV)
 	}
 	minV, maxV = Range([]float32{float32(math.NaN()), 2, float32(math.NaN()), -5})
 	if minV != -5 || maxV != 2 {
 		t.Fatalf("Range with NaNs = (%g,%g), want (-5,2)", minV, maxV)
+	}
+}
+
+// TestRangeMatchesScan pins Range bit for bit to the plain NaN-skipping
+// scan (REL bounds resolve from it, so it shapes stream bytes), across
+// NaNs, infinities and signed zeros in every position.
+func TestRangeMatchesScan(t *testing.T) {
+	scan := func(data []float32) (minVal, maxVal float64) {
+		first := true
+		for _, v := range data {
+			f := float64(v)
+			if math.IsNaN(f) {
+				continue
+			}
+			if first {
+				minVal, maxVal, first = f, f, false
+				continue
+			}
+			if f < minVal {
+				minVal = f
+			}
+			if f > maxVal {
+				maxVal = f
+			}
+		}
+		return minVal, maxVal
+	}
+	nan := float32(math.NaN())
+	inf := float32(math.Inf(1))
+	negZero := float32(math.Copysign(0, -1))
+	pool := []float32{nan, inf, -inf, 0, negZero, 1, -1, 3.5, -2.25, 1e-30}
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 2000; trial++ {
+		data := make([]float32, rng.Intn(9))
+		for i := range data {
+			data[i] = pool[rng.Intn(len(pool))]
+		}
+		gotLo, gotHi := Range(data)
+		wantLo, wantHi := scan(data)
+		if math.Float64bits(gotLo) != math.Float64bits(wantLo) || math.Float64bits(gotHi) != math.Float64bits(wantHi) {
+			t.Fatalf("Range(%v) = (%g, %g), scan = (%g, %g)", data, gotLo, gotHi, wantLo, wantHi)
+		}
 	}
 }
 
@@ -98,7 +141,7 @@ func TestMulRoundMatchesQuantize(t *testing.T) {
 	scaled := make([]float64, len(src))
 	staged := make([]int32, len(src))
 	fused := make([]int32, len(src))
-	q.MulF32(scaled, src)
+	Mul(q, scaled, src)
 	if !Round(staged, scaled) {
 		t.Fatal("staged path overflowed")
 	}

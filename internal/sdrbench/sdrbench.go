@@ -7,9 +7,7 @@
 package sdrbench
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -17,6 +15,7 @@ import (
 	"strings"
 
 	"ceresz/internal/lorenzo"
+	"ceresz/internal/rawfloat"
 )
 
 // Field is one on-disk field.
@@ -83,53 +82,33 @@ func ParseName(path string) (name string, d lorenzo.Dims, isF64 bool, err error)
 }
 
 // ReadF32 loads a raw little-endian float32 file.
-func ReadF32(path string) ([]float32, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if len(raw)%4 != 0 {
-		return nil, fmt.Errorf("sdrbench: %s: %d bytes is not a float32 array", path, len(raw))
-	}
-	out := make([]float32, len(raw)/4)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
-	}
-	return out, nil
-}
+func ReadF32(path string) ([]float32, error) { return readRaw[float32](path) }
 
 // ReadF64 loads a raw little-endian float64 file.
-func ReadF64(path string) ([]float64, error) {
+func ReadF64(path string) ([]float64, error) { return readRaw[float64](path) }
+
+func readRaw[T rawfloat.Float](path string) ([]T, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if len(raw)%8 != 0 {
-		return nil, fmt.Errorf("sdrbench: %s: %d bytes is not a float64 array", path, len(raw))
+	size := rawfloat.Size[T]()
+	if len(raw)%size != 0 {
+		return nil, fmt.Errorf("sdrbench: %s: %d bytes is not a float%d array", path, len(raw), 8*size)
 	}
-	out := make([]float64, len(raw)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
-	}
+	out := make([]T, len(raw)/size)
+	rawfloat.Decode(out, raw)
 	return out, nil
 }
 
 // WriteF32 writes a raw little-endian float32 file.
 func WriteF32(path string, data []float32) error {
-	raw := make([]byte, 4*len(data))
-	for i, v := range data {
-		binary.LittleEndian.PutUint32(raw[4*i:], math.Float32bits(v))
-	}
-	return os.WriteFile(path, raw, 0o644)
+	return os.WriteFile(path, rawfloat.Append(nil, data), 0o644)
 }
 
 // WriteF64 writes a raw little-endian float64 file.
 func WriteF64(path string, data []float64) error {
-	raw := make([]byte, 8*len(data))
-	for i, v := range data {
-		binary.LittleEndian.PutUint64(raw[8*i:], math.Float64bits(v))
-	}
-	return os.WriteFile(path, raw, 0o644)
+	return os.WriteFile(path, rawfloat.Append(nil, data), 0o644)
 }
 
 // Load reads a field file and validates its size against the dims encoded

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"ceresz"
+	"ceresz/internal/core"
 )
 
 // TestCompressHotPathZeroAlloc asserts the acceptance criterion: once a
@@ -26,18 +27,17 @@ func TestCompressHotPathZeroAlloc(t *testing.T) {
 		binary.LittleEndian.PutUint32(raw[4*i:], math.Float32bits(v))
 	}
 	p := cparams{
-		bound:      ceresz.ABS(1e-3),
 		abs:        true,
 		elem:       ceresz.Float32,
 		chunkElems: 1024,
-		opts:       ceresz.Options{Workers: 1},
+		opts:       core.Options{Bound: ceresz.ABS(1e-3), Workers: 1},
 	}
 	c := newCodec(0)
 	r := bytes.NewReader(raw)
 	runOnce := func() {
 		r.Reset(raw)
 		for {
-			frame, _, err := c.nextFrameF32(r, p)
+			frame, _, err := c.nextFrame(r, p)
 			if err == io.EOF {
 				return
 			}
@@ -90,7 +90,7 @@ func TestDecompressHotPathZeroAlloc(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := io.Discard.Write(c.encodeF32(c.f32)); err != nil {
+			if _, err := io.Discard.Write(encodeRaw(c, c.f32)); err != nil {
 				t.Fatal(err)
 			}
 		}

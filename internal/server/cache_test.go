@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"ceresz"
+	"ceresz/internal/core"
 	"ceresz/internal/telemetry"
 )
 
@@ -321,11 +322,10 @@ func TestCacheCompressMissZeroAlloc(t *testing.T) {
 	s := New(Config{Workers: 1, ChunkElems: chunkElems, CacheBytes: 48 << 10, Registry: telemetry.NewRegistry()})
 	c := newCodec(0)
 	p := cparams{
-		bound:      ceresz.ABS(1e-3),
 		abs:        true,
 		elem:       ceresz.Float32,
 		chunkElems: chunkElems,
-		opts:       ceresz.Options{Workers: 1},
+		opts:       core.Options{Bound: ceresz.ABS(1e-3), Workers: 1},
 	}
 
 	// A cycle of distinct chunks larger than the cache can hold.
@@ -343,7 +343,7 @@ func TestCacheCompressMissZeroAlloc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		frame, _, h, err := s.cachedCompress(c, p, got, c.compressF32)
+		frame, _, h, err := s.cachedCompress(c, p, got)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -370,11 +370,10 @@ func TestCacheCompressHitZeroAlloc(t *testing.T) {
 	s := New(Config{Workers: 1, ChunkElems: chunkElems, CacheBytes: 8 << 20, Registry: telemetry.NewRegistry()})
 	c := newCodec(0)
 	p := cparams{
-		bound:      ceresz.ABS(1e-3),
 		abs:        true,
 		elem:       ceresz.Float32,
 		chunkElems: chunkElems,
-		opts:       ceresz.Options{Workers: 1},
+		opts:       core.Options{Bound: ceresz.ABS(1e-3), Workers: 1},
 	}
 	raw := rawBytes(testData(chunkElems, 99))
 	r := bytes.NewReader(nil)
@@ -384,7 +383,7 @@ func TestCacheCompressHitZeroAlloc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		frame, _, h, err := s.cachedCompress(c, p, got, c.compressF32)
+		frame, _, h, err := s.cachedCompress(c, p, got)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,11 +3,12 @@ package server
 import (
 	"encoding/binary"
 	"io"
-	"math"
 	"slices"
 
 	"ceresz"
 	"ceresz/internal/chunkcache"
+	"ceresz/internal/core"
+	"ceresz/internal/rawfloat"
 )
 
 // codec is one worker's pooled compression state. Every buffer is reused
@@ -48,19 +49,13 @@ const frameHeaderSize = 8
 
 // cparams is a compress request's resolved configuration.
 type cparams struct {
-	bound      ceresz.Bound // REL resolves per chunk, like StreamWriter
-	abs        bool         // true: bound.Value is a pre-resolved absolute ε
+	abs        bool // true: opts.Bound.Value is a pre-resolved absolute ε
 	elem       ceresz.Elem
 	chunkElems int
-	opts       ceresz.Options // Workers: the request's budget share (1 = zero-alloc path)
-}
-
-// elemSize returns the element byte width.
-func (p cparams) elemSize() int {
-	if p.elem == ceresz.Float64 {
-		return 8
-	}
-	return 4
+	// opts is the codec configuration. Bound: REL resolves per chunk, like
+	// StreamWriter. Workers: the request's budget share (1 = zero-alloc
+	// path).
+	opts core.Options
 }
 
 // readRaw fills rawIn with up to want bytes from r. A short final read is
@@ -81,7 +76,7 @@ func (c *codec) readRaw(r io.Reader, want int) (int, error) {
 // count that does not divide the element size is rejected here so the
 // compress step always sees whole elements.
 func (c *codec) readChunk(r io.Reader, p cparams) (int, error) {
-	es := p.elemSize()
+	es := p.elem.Size()
 	t0 := c.tr.now()
 	n, err := c.readRaw(r, es*p.chunkElems)
 	c.tr.accum(stageRead, t0)
@@ -100,22 +95,27 @@ func (c *codec) readChunk(r io.Reader, p cparams) (int, error) {
 	return n, nil
 }
 
-// compressF32 compresses the raw float32 chunk sitting in c.rawIn and
-// assembles the CSZF frame in c.frame. Steady-state zero-alloc: all
-// buffers are warm after the first chunk.
-func (c *codec) compressF32(p cparams) ([]byte, error) {
-	elems := len(c.rawIn) / 4
-	c.f32 = slices.Grow(c.f32[:0], elems)[:elems]
-	for i := range c.f32 {
-		c.f32[i] = math.Float32frombits(binary.LittleEndian.Uint32(c.rawIn[4*i:]))
+// compress compresses the raw chunk sitting in c.rawIn as p.elem values
+// and assembles the CSZF frame in c.frame.
+func (c *codec) compress(p cparams) ([]byte, error) {
+	if p.elem == ceresz.Float64 {
+		return compressChunk(c, &c.f64, p)
 	}
+	return compressChunk(c, &c.f32, p)
+}
+
+// compressChunk is compress for element type T, decoding c.rawIn into
+// *vals. Steady-state zero-alloc: all buffers are warm after the first
+// chunk.
+func compressChunk[T core.Float](c *codec, vals *[]T, p cparams) ([]byte, error) {
+	decodeRaw(c, vals)
 	c.frame = append(c.frame[:0], frameMagic[0], frameMagic[1], frameMagic[2], frameMagic[3], 0, 0, 0, 0)
 	tc := c.tr.now()
 	var err error
 	if p.abs {
-		c.frame, err = ceresz.CompressWithEpsInto(c.frame, c.f32, p.bound.Value, p.opts, &c.stats)
+		c.frame, err = core.CompressWithEpsInto(c.frame, *vals, p.opts.Bound.Value, p.opts, &c.stats)
 	} else {
-		c.frame, err = ceresz.CompressInto(c.frame, c.f32, p.bound, p.opts, &c.stats)
+		c.frame, err = core.CompressInto(c.frame, *vals, p.opts, &c.stats)
 	}
 	c.tr.observe(stageCodec, tc)
 	if err != nil {
@@ -125,47 +125,18 @@ func (c *codec) compressF32(p cparams) ([]byte, error) {
 	return c.frame, nil
 }
 
-// compressF64 is compressF32 for double-precision chunks.
-func (c *codec) compressF64(p cparams) ([]byte, error) {
-	elems := len(c.rawIn) / 8
-	c.f64 = slices.Grow(c.f64[:0], elems)[:elems]
-	for i := range c.f64 {
-		c.f64[i] = math.Float64frombits(binary.LittleEndian.Uint64(c.rawIn[8*i:]))
-	}
-	c.frame = append(c.frame[:0], frameMagic[0], frameMagic[1], frameMagic[2], frameMagic[3], 0, 0, 0, 0)
-	tc := c.tr.now()
-	var err error
-	c.frame, err = ceresz.Compress64Into(c.frame, c.f64, p.bound, p.opts, &c.stats)
-	c.tr.observe(stageCodec, tc)
-	if err != nil {
-		return nil, err
-	}
-	binary.LittleEndian.PutUint32(c.frame[4:], uint32(len(c.frame)-frameHeaderSize))
-	return c.frame, nil
-}
-
-// nextFrameF32 reads one raw float32 chunk from r, compresses it and
-// assembles the CSZF frame in c.frame. It returns the frame, the raw byte
-// count consumed, and io.EOF (with a nil frame) once the body is drained.
-// This is the uncached compress path (and the zero-alloc contract's test
+// nextFrame reads one raw chunk from r, compresses it and assembles the
+// CSZF frame in c.frame. It returns the frame, the raw byte count
+// consumed, and io.EOF (with a nil frame) once the body is drained. This
+// is the uncached compress path (and the zero-alloc contract's test
 // surface); handleCompress interposes the chunk cache between the read
 // and compress halves when one is configured.
-func (c *codec) nextFrameF32(r io.Reader, p cparams) ([]byte, int, error) {
+func (c *codec) nextFrame(r io.Reader, p cparams) ([]byte, int, error) {
 	n, err := c.readChunk(r, p)
 	if err != nil {
 		return nil, n, err
 	}
-	frame, err := c.compressF32(p)
-	return frame, n, err
-}
-
-// nextFrameF64 is nextFrameF32 for double-precision bodies.
-func (c *codec) nextFrameF64(r io.Reader, p cparams) ([]byte, int, error) {
-	n, err := c.readChunk(r, p)
-	if err != nil {
-		return nil, n, err
-	}
-	frame, err := c.compressF64(p)
+	frame, err := c.compress(p)
 	return frame, n, err
 }
 
@@ -184,7 +155,7 @@ func (c *codec) nextFrameF64(r io.Reader, p cparams) ([]byte, int, error) {
 // function of the chunk's value range, which the hashed bytes pin down.
 func (c *codec) cacheKeyCompress(p cparams) chunkcache.Key {
 	pre := chunkcache.AppendCompressPreamble(c.hasher.Preamble(),
-		byte(p.elem), p.abs, p.bound.Value, p.opts.BlockLen)
+		byte(p.elem), p.abs, p.opts.Bound.Value, p.opts.BlockLen)
 	return c.hasher.Key(pre, c.rawIn)
 }
 
@@ -196,20 +167,17 @@ func (c *codec) cacheKeyDecompress(payload []byte, wantF64 bool) chunkcache.Key 
 	return c.hasher.Key(pre, payload)
 }
 
-// encodeF32 serializes floats into c.out as raw little-endian bytes.
-func (c *codec) encodeF32(vals []float32) []byte {
-	c.out = slices.Grow(c.out[:0], 4*len(vals))[:4*len(vals)]
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(c.out[4*i:], math.Float32bits(v))
-	}
-	return c.out
+// decodeRaw decodes the little-endian values in c.rawIn into *vals,
+// reusing its capacity, and returns them.
+func decodeRaw[T core.Float](c *codec, vals *[]T) []T {
+	n := len(c.rawIn) / rawfloat.Size[T]()
+	*vals = slices.Grow((*vals)[:0], n)[:n]
+	rawfloat.Decode(*vals, c.rawIn)
+	return *vals
 }
 
-// encodeF64 serializes doubles into c.out as raw little-endian bytes.
-func (c *codec) encodeF64(vals []float64) []byte {
-	c.out = slices.Grow(c.out[:0], 8*len(vals))[:8*len(vals)]
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(c.out[8*i:], math.Float64bits(v))
-	}
+// encodeRaw serializes vals into c.out as raw little-endian bytes.
+func encodeRaw[T core.Float](c *codec, vals []T) []byte {
+	c.out = rawfloat.Append(c.out[:0], vals)
 	return c.out
 }

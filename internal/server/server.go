@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -726,7 +725,7 @@ func (s *Server) parseCompressParams(r *http.Request) (cparams, error) {
 	p := cparams{
 		elem:       ceresz.Float32,
 		chunkElems: s.cfg.ChunkElems,
-		opts:       ceresz.Options{Workers: 1, BlockLen: s.cfg.BlockLen},
+		opts:       core.Options{Workers: 1, BlockLen: s.cfg.BlockLen},
 	}
 	epsStr := q.Get("eps")
 	if epsStr == "" {
@@ -739,9 +738,9 @@ func (s *Server) parseCompressParams(r *http.Request) (cparams, error) {
 	switch mode := q.Get("mode"); mode {
 	case "", "abs":
 		p.abs = true
-		p.bound = ceresz.ABS(eps)
+		p.opts.Bound = ceresz.ABS(eps)
 	case "rel":
-		p.bound = ceresz.REL(eps)
+		p.opts.Bound = ceresz.REL(eps)
 	default:
 		return p, badRequestf("mode must be abs or rel, got %q", mode)
 	}
@@ -784,10 +783,6 @@ func (s *Server) handleCompress(c *codec, w http.ResponseWriter, r *http.Request
 	}
 	p.opts.Workers = c.workers
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	compress := c.compressF32
-	if p.elem == ceresz.Float64 {
-		compress = c.compressF64
-	}
 
 	var chunks int
 	var rawBytes, compBytes int64
@@ -801,7 +796,7 @@ func (s *Server) handleCompress(c *codec, w http.ResponseWriter, r *http.Request
 			var frame []byte
 			var eps float64
 			var h chunkcache.Handle
-			frame, eps, h, err = s.cachedCompress(c, p, n, compress)
+			frame, eps, h, err = s.cachedCompress(c, p, n)
 			if err == nil {
 				if !started {
 					w.Header().Set("Content-Type", "application/x-ceresz-frames")
@@ -846,9 +841,9 @@ func (s *Server) handleCompress(c *codec, w http.ResponseWriter, r *http.Request
 // computed frame and from the entry's metadata on a hit, so the
 // X-Ceresz-Eps header is right even when the first chunk never runs the
 // codec.
-func (s *Server) cachedCompress(c *codec, p cparams, n int, compress func(cparams) ([]byte, error)) ([]byte, float64, chunkcache.Handle, error) {
+func (s *Server) cachedCompress(c *codec, p cparams, n int) ([]byte, float64, chunkcache.Handle, error) {
 	if s.cache == nil {
-		frame, err := compress(p)
+		frame, err := c.compress(p)
 		return frame, c.stats.Eps, chunkcache.Handle{}, err
 	}
 	tc := c.tr.now()
@@ -858,7 +853,7 @@ func (s *Server) cachedCompress(c *codec, p cparams, n int, compress func(cparam
 		// The computation this chunk coalesced onto was aborted; its
 		// failure was input-dependent, so compute locally uncached and let
 		// this request's own error (if any) surface.
-		frame, cerr := compress(p)
+		frame, cerr := c.compress(p)
 		return frame, c.stats.Eps, chunkcache.Handle{}, cerr
 	}
 	if h.Outcome() != chunkcache.Miss {
@@ -866,7 +861,7 @@ func (s *Server) cachedCompress(c *codec, p cparams, n int, compress func(cparam
 		return h.Bytes(), h.Meta().Eps, h, nil
 	}
 	c.tr.addCacheMiss()
-	frame, cerr := compress(p)
+	frame, cerr := c.compress(p)
 	if cerr != nil {
 		h.Abort()
 		return nil, 0, chunkcache.Handle{}, cerr
@@ -908,10 +903,10 @@ func (s *Server) handleDecompress(c *codec, w http.ResponseWriter, r *http.Reque
 			tc := c.tr.now()
 			if wantF64 {
 				c.f64, err = c.sr.Next64Into(c.f64[:0])
-				out = c.encodeF64(c.f64)
+				out = encodeRaw(c, c.f64)
 			} else {
 				c.f32, err = c.sr.NextInto(c.f32[:0])
-				out = c.encodeF32(c.f32)
+				out = encodeRaw(c, c.f32)
 			}
 			if err == nil {
 				c.tr.observeSub(stageCodec, tc, c.tr.stageTotal(stageRead)-readBefore)
@@ -978,10 +973,10 @@ func (s *Server) cachedDecompress(c *codec, wantF64 bool) ([]byte, chunkcache.Ha
 	opts := ceresz.Options{Workers: c.workers}
 	if wantF64 {
 		c.f64, err = ceresz.Decompress64With(c.f64[:0], payload, opts)
-		out = c.encodeF64(c.f64)
+		out = encodeRaw(c, c.f64)
 	} else {
 		c.f32, err = ceresz.DecompressWith(c.f32[:0], payload, opts)
-		out = c.encodeF32(c.f32)
+		out = encodeRaw(c, c.f32)
 	}
 	if err != nil {
 		if herr == nil {
@@ -1084,42 +1079,31 @@ func (s *Server) handleBundle(c *codec, w http.ResponseWriter, r *http.Request) 
 			return badRequestf("field %d (%q): mode must be abs or rel, got %q", i, spec.Name, spec.Mode)
 		}
 		opts := ceresz.Options{Workers: c.workers, BlockLen: s.cfg.BlockLen}
+		elem := ceresz.Float32
 		switch spec.Elem {
 		case "", "f32":
-			tr := c.tr.now()
-			if _, err := c.readRaw(body, 4*elems); err != nil {
-				return badRequestf("field %d (%q): reading %d elements: %v", i, spec.Name, elems, err)
-			}
-			c.tr.observe(stageRead, tr)
-			c.tr.addBytes(int64(4*elems), 0)
-			tc := c.tr.now()
-			c.f32 = c.f32[:0]
-			for j := 0; j < elems; j++ {
-				c.f32 = append(c.f32, math.Float32frombits(binary.LittleEndian.Uint32(c.rawIn[4*j:])))
-			}
-			if _, err := bw.AddField(spec.Name, dims, c.f32, bound, opts); err != nil {
-				return badRequest{err}
-			}
-			c.tr.observe(stageCodec, tc)
 		case "f64":
-			tr := c.tr.now()
-			if _, err := c.readRaw(body, 8*elems); err != nil {
-				return badRequestf("field %d (%q): reading %d elements: %v", i, spec.Name, elems, err)
-			}
-			c.tr.observe(stageRead, tr)
-			c.tr.addBytes(int64(8*elems), 0)
-			tc := c.tr.now()
-			c.f64 = c.f64[:0]
-			for j := 0; j < elems; j++ {
-				c.f64 = append(c.f64, math.Float64frombits(binary.LittleEndian.Uint64(c.rawIn[8*j:])))
-			}
-			if _, err := bw.AddField64(spec.Name, dims, c.f64, bound, opts); err != nil {
-				return badRequest{err}
-			}
-			c.tr.observe(stageCodec, tc)
+			elem = ceresz.Float64
 		default:
 			return badRequestf("field %d (%q): elem must be f32 or f64, got %q", i, spec.Name, spec.Elem)
 		}
+		tr := c.tr.now()
+		if _, err := c.readRaw(body, elem.Size()*elems); err != nil {
+			return badRequestf("field %d (%q): reading %d elements: %v", i, spec.Name, elems, err)
+		}
+		c.tr.observe(stageRead, tr)
+		c.tr.addBytes(int64(elem.Size()*elems), 0)
+		tc := c.tr.now()
+		var err error
+		if elem == ceresz.Float64 {
+			_, err = bw.AddField64(spec.Name, dims, decodeRaw(c, &c.f64), bound, opts)
+		} else {
+			_, err = bw.AddField(spec.Name, dims, decodeRaw(c, &c.f32), bound, opts)
+		}
+		if err != nil {
+			return badRequest{err}
+		}
+		c.tr.observe(stageCodec, tc)
 		c.tr.addChunk()
 	}
 	tc := c.tr.now()
@@ -1172,13 +1156,13 @@ func (s *Server) extractBundleField(c *codec, w http.ResponseWriter, body io.Rea
 		if err != nil {
 			return badRequest{err}
 		}
-		out, elem = c.encodeF64(vals), "f64"
+		out, elem = encodeRaw(c, vals), "f64"
 	} else {
 		vals, _, err := br.ReadField(field)
 		if err != nil {
 			return badRequest{err}
 		}
-		out, elem = c.encodeF32(vals), "f32"
+		out, elem = encodeRaw(c, vals), "f32"
 	}
 	c.tr.observe(stageCodec, tc)
 	c.tr.addChunk()

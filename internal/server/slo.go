@@ -1,46 +1,11 @@
 package server
 
-import (
-	"fmt"
+import "ceresz/internal/telemetry"
 
-	"ceresz/internal/telemetry"
-)
-
-// SLO objective binding. Specs name endpoints ("compress:p99<25ms:99.9");
-// this file is where the subject resolves to the registry instruments the
-// endpoint actually reports through, so the telemetry engine stays
-// ignorant of the server's naming scheme.
-
-// ParseObjectives parses a comma-separated SLO spec list and binds each
-// objective to the subject endpoint's instruments: latency SLIs read
-// server.<ep>.latency_us, error SLIs read the requests/status_5xx counter
-// pair. Unknown subjects are an error — a typo'd endpoint would otherwise
-// evaluate forever against an instrument that never fires.
+// ParseObjectives parses a comma-separated SLO spec list
+// ("compress:p99<25ms:99.9,decompress:err:99.95") and binds each objective
+// to the endpoint's server.<ep>.* instruments (telemetry.BindObjectives).
+// Unknown endpoints are an error.
 func ParseObjectives(raw string) ([]telemetry.Objective, error) {
-	specs, err := telemetry.ParseSLOSpecs(raw)
-	if err != nil {
-		return nil, err
-	}
-	objs := make([]telemetry.Objective, 0, len(specs))
-	for _, spec := range specs {
-		known := false
-		for _, name := range epNames {
-			if spec.Subject == name {
-				known = true
-				break
-			}
-		}
-		if !known {
-			return nil, fmt.Errorf("slo %q: unknown endpoint %q (have %v)", spec.Raw, spec.Subject, epNames)
-		}
-		o := telemetry.Objective{Spec: spec}
-		if spec.SLI == "err" {
-			o.TotalCounter = "server." + spec.Subject + ".requests"
-			o.BadCounter = "server." + spec.Subject + ".status_5xx"
-		} else {
-			o.HistName = "server." + spec.Subject + ".latency_us"
-		}
-		objs = append(objs, o)
-	}
-	return objs, nil
+	return telemetry.BindObjectives(raw, "server", epNames[:])
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"ceresz"
+	"ceresz/internal/core"
 	"ceresz/internal/telemetry"
 )
 
@@ -279,18 +280,17 @@ func TestCompressHotPathZeroAllocWithRollups(t *testing.T) {
 	const elems = 4100
 	raw := rawF32Body(testData(elems, 42))
 	p := cparams{
-		bound:      ceresz.ABS(1e-3),
 		abs:        true,
 		elem:       ceresz.Float32,
 		chunkElems: 1024,
-		opts:       ceresz.Options{Workers: 1},
+		opts:       core.Options{Bound: ceresz.ABS(1e-3), Workers: 1},
 	}
 	c := newCodec(0)
 	r := bytes.NewReader(raw)
 	runOnce := func() {
 		r.Reset(raw)
 		for {
-			frame, n, err := c.nextFrameF32(r, p)
+			frame, n, err := c.nextFrame(r, p)
 			if err == io.EOF {
 				return
 			}

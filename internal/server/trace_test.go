@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"ceresz"
+	"ceresz/internal/core"
 	"ceresz/internal/telemetry"
 )
 
@@ -418,11 +419,10 @@ func TestTracedUnsampledHotPathZeroAlloc(t *testing.T) {
 	const elems = 4100
 	raw := rawF32(testData(elems, 42))
 	p := cparams{
-		bound:      ceresz.ABS(1e-3),
 		abs:        true,
 		elem:       ceresz.Float32,
 		chunkElems: 1024,
-		opts:       ceresz.Options{Workers: 1},
+		opts:       core.Options{Bound: ceresz.ABS(1e-3), Workers: 1},
 	}
 	// TraceEvery 3 with a single request acquired: seq 1 is not sampled,
 	// so the span records stage atomics but no chunk events.
@@ -434,7 +434,7 @@ func TestTracedUnsampledHotPathZeroAlloc(t *testing.T) {
 	runOnce := func() {
 		r.Reset(raw)
 		for {
-			frame, _, err := c.nextFrameF32(r, p)
+			frame, _, err := c.nextFrame(r, p)
 			if err == io.EOF {
 				return
 			}

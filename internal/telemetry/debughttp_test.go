@@ -1,10 +1,12 @@
 package telemetry
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -47,15 +49,23 @@ func TestDebugMuxEndpoints(t *testing.T) {
 	}
 }
 
+// nameSeq numbers process-global names (expvar names, Default registry
+// instruments) so tests that claim one stay correct when re-run in the
+// same process (-count=N).
+var nameSeq atomic.Int64
+
+func uniqueName(base string) string { return fmt.Sprintf("%s-%d", base, nameSeq.Add(1)) }
+
 func TestPublishExpvarOnce(t *testing.T) {
 	a, b := NewRegistry(), NewRegistry()
-	if err := a.PublishExpvarOnce("publish-once-test"); err != nil {
+	name := uniqueName("publish-once-test")
+	if err := a.PublishExpvarOnce(name); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.PublishExpvarOnce("publish-once-test"); err != nil {
+	if err := a.PublishExpvarOnce(name); err != nil {
 		t.Fatalf("republish of same registry: %v", err)
 	}
-	if err := b.PublishExpvarOnce("publish-once-test"); err == nil {
+	if err := b.PublishExpvarOnce(name); err == nil {
 		t.Fatal("different registry under a taken name did not error")
 	}
 }

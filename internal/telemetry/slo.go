@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -95,6 +96,36 @@ func ParseSLOSpecs(raw string) ([]SLOSpec, error) {
 		out = append(out, spec)
 	}
 	return out, nil
+}
+
+// BindObjectives parses a comma-separated SLO spec list and binds each
+// objective to the RED instruments of the endpoint it names, under the
+// tier's metric prefix: latency SLIs read <prefix>.<ep>.latency_us, error
+// SLIs read the <prefix>.<ep>.requests / <prefix>.<ep>.status_5xx counter
+// pair. Subjects outside endpoints are an error — a typo'd endpoint would
+// otherwise evaluate forever against an instrument that never fires.
+// Binding here keeps the engine itself ignorant of each tier's naming.
+func BindObjectives(raw, prefix string, endpoints []string) ([]Objective, error) {
+	specs, err := ParseSLOSpecs(raw)
+	if err != nil {
+		return nil, err
+	}
+	objs := make([]Objective, 0, len(specs))
+	for _, spec := range specs {
+		if !slices.Contains(endpoints, spec.Subject) {
+			return nil, fmt.Errorf("slo %q: unknown endpoint %q (have %v)", spec.Raw, spec.Subject, endpoints)
+		}
+		o := Objective{Spec: spec}
+		base := prefix + "." + spec.Subject
+		if spec.SLI == "err" {
+			o.TotalCounter = base + ".requests"
+			o.BadCounter = base + ".status_5xx"
+		} else {
+			o.HistName = base + ".latency_us"
+		}
+		objs = append(objs, o)
+	}
+	return objs, nil
 }
 
 // Objective binds a spec to the registry instruments that carry its

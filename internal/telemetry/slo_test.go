@@ -225,3 +225,26 @@ func TestSLOHandlerAndOpenMetrics(t *testing.T) {
 		}
 	}
 }
+
+func TestBindObjectives(t *testing.T) {
+	objs, err := BindObjectives("put:p99<5ms:99,get:err:99.9", "tier", []string{"get", "put"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(objs) != 2 {
+		t.Fatalf("%d objectives, want 2", len(objs))
+	}
+	if objs[0].HistName != "tier.put.latency_us" || objs[0].TotalCounter != "" {
+		t.Fatalf("latency objective bound to %+v", objs[0])
+	}
+	if objs[1].TotalCounter != "tier.get.requests" || objs[1].BadCounter != "tier.get.status_5xx" || objs[1].HistName != "" {
+		t.Fatalf("error objective bound to %+v", objs[1])
+	}
+	if _, err := BindObjectives("delete:err:99", "tier", []string{"get", "put"}); err == nil ||
+		!strings.Contains(err.Error(), `unknown endpoint "delete"`) {
+		t.Fatalf("unknown endpoint: err = %v", err)
+	}
+	if objs, err := BindObjectives("", "tier", nil); err != nil || len(objs) != 0 {
+		t.Fatalf("empty list = %v, %v", objs, err)
+	}
+}

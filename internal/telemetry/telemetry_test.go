@@ -207,8 +207,9 @@ func TestDefaultEnableDisable(t *testing.T) {
 	if !Enabled() {
 		t.Fatal("Enable did not stick")
 	}
-	C("test.default").Add(1)
-	if Default.Snapshot().Counters["test.default"] != 1 {
+	name := uniqueName("test.default")
+	C(name).Add(1)
+	if Default.Snapshot().Counters[name] != 1 {
 		t.Fatal("Default counter lost an event")
 	}
 }

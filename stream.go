@@ -27,32 +27,30 @@ var (
 // precision admits error bounds far below float32's representable
 // resolution (several SDRBench archives are double precision).
 func Compress64(dst []byte, data []float64, bound Bound, opts Options) ([]byte, *Stats, error) {
-	return core.Compress64(dst, data, opts.coreOptions(bound))
+	return core.Compress(dst, data, opts.coreOptions(bound))
 }
 
 // Compress64Into is Compress64 writing its statistics into a
 // caller-provided Stats; with Workers: 1 and sufficient dst capacity it
 // performs zero allocations in steady state.
 func Compress64Into(dst []byte, data []float64, bound Bound, opts Options, stats *Stats) ([]byte, error) {
-	return core.Compress64Into(dst, data, opts.coreOptions(bound), stats)
+	return core.CompressInto(dst, data, opts.coreOptions(bound), stats)
 }
 
 // Compress64WithEps is Compress64 with a pre-resolved absolute ε.
 func Compress64WithEps(dst []byte, data []float64, eps float64, opts Options) ([]byte, *Stats, error) {
-	return core.Compress64WithEps(dst, data, eps, opts.coreOptions(Bound{}))
+	return core.CompressWithEps(dst, data, eps, opts.coreOptions(Bound{}))
 }
 
 // Decompress64 reconstructs float64 data from a Compress64 stream. It runs
 // sequentially; use Decompress64With to shard across CPU cores.
 func Decompress64(dst []float64, comp []byte) ([]float64, error) {
-	out, _, err := core.Decompress64(dst, comp, 0)
-	return out, err
+	return decompress(dst, comp, 0)
 }
 
 // Decompress64With is Decompress64 honoring opts.Workers.
 func Decompress64With(dst []float64, comp []byte, opts Options) ([]float64, error) {
-	out, _, err := core.Decompress64(dst, comp, opts.Workers)
-	return out, err
+	return decompress(dst, comp, opts.Workers)
 }
 
 // Elem identifies a stream's element type (Float32 or Float64).
@@ -128,44 +126,32 @@ func NewStreamWriter(w io.Writer, bound Bound, opts Options) *StreamWriter {
 // first chunk the writer's compression buffer is warm, so with Workers: 1
 // the only steady-state allocation is the returned Stats snapshot.
 func (sw *StreamWriter) WriteChunk(data []float32) (*Stats, error) {
-	if sw.closed {
-		return nil, ErrStreamClosed
-	}
-	defer telStreamWrite.Start().End()
-	var err error
-	sw.buf, err = CompressInto(sw.buf[:0], data, sw.bound, sw.opts, &sw.stats)
-	if err != nil {
-		return nil, err
-	}
-	if err := sw.writeFrame(sw.buf); err != nil {
-		return nil, err
-	}
-	sw.RawBytes += int64(4 * len(data))
-	sw.CompressedBytes += int64(frameHeaderSize + len(sw.buf))
-	sw.Chunks++
-	sw.recordChunk(int64(4 * len(data)))
-	out := sw.stats
-	return &out, nil
+	return writeChunk(sw, data)
 }
 
 // WriteChunk64 compresses one float64 chunk and writes its frame.
 func (sw *StreamWriter) WriteChunk64(data []float64) (*Stats, error) {
+	return writeChunk(sw, data)
+}
+
+func writeChunk[T core.Float](sw *StreamWriter, data []T) (*Stats, error) {
 	if sw.closed {
 		return nil, ErrStreamClosed
 	}
 	defer telStreamWrite.Start().End()
 	var err error
-	sw.buf, err = Compress64Into(sw.buf[:0], data, sw.bound, sw.opts, &sw.stats)
+	sw.buf, err = core.CompressInto(sw.buf[:0], data, sw.opts.coreOptions(sw.bound), &sw.stats)
 	if err != nil {
 		return nil, err
 	}
 	if err := sw.writeFrame(sw.buf); err != nil {
 		return nil, err
 	}
-	sw.RawBytes += int64(8 * len(data))
+	raw := int64(sw.stats.Elem.Size() * len(data))
+	sw.RawBytes += raw
 	sw.CompressedBytes += int64(frameHeaderSize + len(sw.buf))
 	sw.Chunks++
-	sw.recordChunk(int64(8 * len(data)))
+	sw.recordChunk(raw)
 	out := sw.stats
 	return &out, nil
 }
@@ -215,7 +201,6 @@ func (sw *StreamWriter) Close() error {
 type StreamReader struct {
 	r        io.Reader
 	buf      []byte
-	out      []float32
 	hdr      [frameHeaderSize]byte
 	maxFrame int
 	maxElems int
@@ -304,56 +289,40 @@ func (sr *StreamReader) next() ([]byte, error) {
 // Next decodes the next float32 chunk. It returns io.EOF after the last
 // frame. The returned slice is owned by the caller.
 func (sr *StreamReader) Next() ([]float32, error) {
-	defer telStreamRead.Start().End()
-	payload, err := sr.next()
-	if err != nil {
-		return nil, err
-	}
-	sr.out, _, err = core.Decompress(sr.out[:0], payload, sr.workers)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float32, len(sr.out))
-	copy(out, sr.out)
-	return out, nil
+	return nextInto[float32](sr, nil)
 }
 
 // NextInto decodes the next float32 chunk appending to dst (which may be
-// nil), returning the extended slice. Unlike Next it performs no final
-// copy into a fresh slice; pass dst[:0] with warm capacity to reuse one
-// buffer across chunks (the steady-state counterpart of WriteChunk).
+// nil), returning the extended slice (Next is NextInto with a nil dst);
+// pass dst[:0] with warm capacity to reuse one buffer across chunks (the
+// steady-state counterpart of WriteChunk).
 func (sr *StreamReader) NextInto(dst []float32) ([]float32, error) {
-	defer telStreamRead.Start().End()
-	payload, err := sr.next()
-	if err != nil {
-		return dst, err
-	}
-	out, _, err := core.Decompress(dst, payload, sr.workers)
-	return out, err
+	return nextInto(sr, dst)
 }
 
 // Next64 decodes the next float64 chunk.
 func (sr *StreamReader) Next64() ([]float64, error) {
-	defer telStreamRead.Start().End()
-	payload, err := sr.next()
-	if err != nil {
-		return nil, err
-	}
-	out, _, err := core.Decompress64(nil, payload, sr.workers)
-	return out, err
+	return nextInto[float64](sr, nil)
 }
 
 // Next64Into decodes the next float64 chunk appending to dst (which may be
 // nil) — the steady-state counterpart of NextInto for double-precision
 // streams.
 func (sr *StreamReader) Next64Into(dst []float64) ([]float64, error) {
+	return nextInto(sr, dst)
+}
+
+func nextInto[T core.Float](sr *StreamReader, dst []T) ([]T, error) {
 	defer telStreamRead.Start().End()
 	payload, err := sr.next()
 	if err != nil {
 		return dst, err
 	}
-	out, _, err := core.Decompress64(dst, payload, sr.workers)
-	return out, err
+	out, _, err := core.DecompressInto(dst, payload, sr.workers)
+	if err != nil {
+		return dst, err
+	}
+	return out, nil
 }
 
 // NextRaw reads the next frame's compressed payload without decoding it,

@@ -195,6 +195,50 @@ func TestPublicFloat64API(t *testing.T) {
 	}
 }
 
+// TestFloat64StatsAndTelemetry pins the float64 accounting: Stats.Ratio
+// counts 8 bytes per element, and a float64 pass records the same core.*
+// telemetry as a float32 one, with bytes counted at 8 per element.
+func TestFloat64StatsAndTelemetry(t *testing.T) {
+	data := make([]float64, 5000)
+	for i := range data {
+		data[i] = math.Sin(float64(i)*0.02) * 7
+	}
+	EnableTelemetry()
+	defer DisableTelemetry()
+	before := HostTelemetry()
+	comp, stats, err := Compress64(nil, data, REL(1e-4), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decompress64(nil, comp); err != nil {
+		t.Fatal(err)
+	}
+	after := HostTelemetry()
+	if stats.Elem != Float64 {
+		t.Fatalf("Stats.Elem = %v, want float64", stats.Elem)
+	}
+	if want := float64(8*len(data)) / float64(len(comp)); stats.Ratio() != want {
+		t.Fatalf("Ratio() = %g, want 8·N/len(comp) = %g", stats.Ratio(), want)
+	}
+	delta := func(name string) int64 { return after.Counters[name] - before.Counters[name] }
+	for name, want := range map[string]int64{
+		"core.compress.bytes_in":        int64(8 * len(data)),
+		"core.compress.bytes_out":       int64(len(comp)),
+		"core.compress.blocks":          int64(stats.Blocks),
+		"core.decompress.bytes_in":      int64(len(comp)),
+		"core.decompress.bytes_out":     int64(8 * len(data)),
+		"core.decompress.blocks":        int64(stats.Blocks),
+		"core.compress.verbatim_blocks": int64(stats.VerbatimBlocks),
+	} {
+		if got := delta(name); got != want {
+			t.Errorf("%s moved by %d, want %d", name, got, want)
+		}
+	}
+	if n := after.Timers["core.compress"].Count - before.Timers["core.compress"].Count; n != 1 {
+		t.Errorf("core.compress timer observed %d float64 passes, want 1", n)
+	}
+}
+
 func TestStreamWriterRatioEmpty(t *testing.T) {
 	sw := NewStreamWriter(&bytes.Buffer{}, ABS(1e-3), Options{})
 	if sw.Ratio() != 0 {
