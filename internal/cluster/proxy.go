@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"ceresz/internal/chunkcache"
+	"ceresz/internal/core"
 	"ceresz/internal/telemetry"
 )
 
@@ -753,24 +754,41 @@ func readPrefix(r io.Reader, buf []byte) (prefix []byte, fullyBuffered bool, err
 // decompress requests hash their first chunk under the exact
 // internal/chunkcache key layout the backends address entries with, so a
 // chunk's route and its cache key agree and repeats land on the node
-// already holding them. Unparsable requests (the backend will 400 them)
-// and bundles hash the raw prefix under a proxy-private namespace —
-// still deterministic, just without cache affinity.
+// already holding them. Requests whose first chunk the backend would
+// never key (it will 400 them, or there is no first chunk) and bundles
+// hash the raw prefix under a proxy-private namespace — still
+// deterministic, just without cache affinity.
 func (p *Proxy) routeKey(ep int, q url.Values, prefix []byte) chunkcache.Key {
 	h := p.hashers.Get().(*chunkcache.Hasher)
 	defer p.hashers.Put(h)
 	switch ep {
 	case epCompress:
-		if pre, chunkBytes, ok := p.compressPreamble(h, q); ok {
-			if chunkBytes > len(prefix) {
-				chunkBytes = len(prefix)
+		if pre, chunkElems, elemSize, ok := p.compressPreamble(h, q); ok {
+			// The backend keys a non-empty first chunk of whole elements.
+			// (Compared by division: a hostile ?chunk= overflows the
+			// product.)
+			n := len(prefix)
+			if chunkElems <= n/elemSize {
+				n = chunkElems * elemSize
 			}
-			return h.Key(pre, prefix[:chunkBytes])
+			if n > 0 && n%elemSize == 0 {
+				return h.Key(pre, prefix[:n])
+			}
 		}
 	case epDecompress:
-		wantF64 := q.Get("elem") == "f64"
-		if payload, ok := firstFramePayload(prefix); ok {
-			return h.Key(chunkcache.AppendDecompressPreamble(h.Preamble(), wantF64), payload)
+		wantF64, okElem := false, true
+		switch q.Get("elem") {
+		case "", "f32":
+		case "f64":
+			wantF64 = true
+		default:
+			okElem = false
+		}
+		// The backend keys a frame only once its stream header parses.
+		if payload, ok := firstFramePayload(prefix); ok && okElem {
+			if _, err := core.ParseHeader(payload); err == nil {
+				return h.Key(chunkcache.AppendDecompressPreamble(h.Preamble(), wantF64), payload)
+			}
 		}
 	}
 	// Fallback namespace 0: never used by the cache, so a fallback digest
@@ -780,12 +798,13 @@ func (p *Proxy) routeKey(ep int, q url.Values, prefix []byte) chunkcache.Key {
 }
 
 // compressPreamble mirrors the backend's compress-side cache-key
-// preamble from the request's query parameters. ok=false when the
-// parameters would fail the backend's own validation.
-func (p *Proxy) compressPreamble(h *chunkcache.Hasher, q url.Values) (pre []byte, chunkBytes int, ok bool) {
+// preamble from the request's query parameters, with the chunk length in
+// elements and the element size. ok=false when the parameters would fail
+// the backend's own validation.
+func (p *Proxy) compressPreamble(h *chunkcache.Hasher, q url.Values) (pre []byte, chunkElems, elemSize int, ok bool) {
 	eps, err := strconv.ParseFloat(q.Get("eps"), 64)
 	if err != nil || !(eps > 0) {
-		return nil, 0, false
+		return nil, 0, 0, false
 	}
 	abs := true
 	switch q.Get("mode") {
@@ -793,22 +812,22 @@ func (p *Proxy) compressPreamble(h *chunkcache.Hasher, q url.Values) (pre []byte
 	case "rel":
 		abs = false
 	default:
-		return nil, 0, false
+		return nil, 0, 0, false
 	}
 	elem := byte(0)
-	elemSize := 4
+	elemSize = 4
 	switch q.Get("elem") {
 	case "", "f32":
 	case "f64":
 		elem, elemSize = 1, 8
 	default:
-		return nil, 0, false
+		return nil, 0, 0, false
 	}
-	chunkElems := p.cfg.ChunkElems
+	chunkElems = p.cfg.ChunkElems
 	if cs := q.Get("chunk"); cs != "" {
 		n, err := strconv.Atoi(cs)
 		if err != nil || n < 1 {
-			return nil, 0, false
+			return nil, 0, 0, false
 		}
 		chunkElems = n
 	}
@@ -816,12 +835,12 @@ func (p *Proxy) compressPreamble(h *chunkcache.Hasher, q url.Values) (pre []byte
 	if bs := q.Get("block"); bs != "" {
 		n, err := strconv.Atoi(bs)
 		if err != nil || n < 8 || n%8 != 0 {
-			return nil, 0, false
+			return nil, 0, 0, false
 		}
 		blockLen = n
 	}
 	pre = chunkcache.AppendCompressPreamble(h.Preamble(), elem, abs, eps, blockLen)
-	return pre, chunkElems * elemSize, true
+	return pre, chunkElems, elemSize, true
 }
 
 // firstFramePayload extracts the first CSZF frame's payload from a

@@ -2,10 +2,12 @@ package mapping
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
 	"ceresz/internal/core"
+	"ceresz/internal/flenc"
 	"ceresz/internal/stages"
 	"ceresz/internal/telemetry"
 	"ceresz/internal/wse"
@@ -28,10 +30,57 @@ const (
 // position, so the emitted stream can be reassembled in order.
 type flowBlock struct {
 	id  int
-	row int                // target row (single-ingress distribution)
+	row int                // striped-to row: its pool, arena and ingress
 	raw []float32          // compression input (nil for decompression)
 	enc []byte             // decompression input (nil for compression)
-	st  *stages.BlockState // created when a head PE captures the block
+	st  *stages.BlockState // held from head capture to tail hand-off
+	// off and n locate a compressed block's bytes in its row's arena.
+	off, n  int
+	emitted bool // seen by checkEmissions
+}
+
+// simRun is one simulated run's host-side data, shared by the programs
+// installed for it. Its memory scales with the blocks' own bytes plus the
+// mesh and the blocks in flight: block state is pooled per row, and
+// blocks enter through one host stream per ingress.
+type simRun struct {
+	blocks []flowBlock // every block of the run, indexed by id
+	rows   []rowRun
+	out    []float32 // the reconstruction (decompression)
+}
+
+// rowRun is one mesh row's share of a run. Only the row's own PEs touch
+// it, and a row is never split between shard engines, so it needs no
+// lock.
+type rowRun struct {
+	// arena holds the compressed bytes of the row's blocks, in the order
+	// its tails finished them (compression).
+	arena []byte
+	// free pools the block states of the row's pipelines — the host-side
+	// mirror of the working set their PEs reserve in Init: a head takes a
+	// state when it captures a block, and the tail returns it once the
+	// result is copied out.
+	free  []*stages.BlockState
+	owned int // states allocated so far
+}
+
+// take hands out a free block state. An empty pool grows by as many
+// states as it already owns (at least one per pipeline), so a row whose
+// tails fall behind their heads allocates O(log in-flight) times, not
+// once per captured block.
+func (rr *rowRun) take(L, pipelines int) *stages.BlockState {
+	if len(rr.free) == 0 {
+		batch := stages.NewBlockStates(L, max(pipelines, rr.owned))
+		rr.owned += len(batch)
+		rr.free = slices.Grow(rr.free, rr.owned)
+		for i := range batch {
+			rr.free = append(rr.free, &batch[i])
+		}
+	}
+	n := len(rr.free) - 1
+	st := rr.free[n]
+	rr.free = rr.free[:n]
+	return st
 }
 
 // peProgram is the per-PE code: relay raw blocks for pipelines to the
@@ -39,6 +88,7 @@ type flowBlock struct {
 // the assigned stage group on pipeline traffic (paper Fig. 9b).
 type peProgram struct {
 	plan   *Plan
+	run    *simRun
 	isHead bool
 	isTail bool
 	group  Group
@@ -93,7 +143,7 @@ func (pp *peProgram) OnMessage(ctx *wse.Context, msg wse.Message) {
 		}
 		pp.relayLeft = pp.relayInit
 		fb := msg.Payload.(*flowBlock)
-		fb.st = stages.NewBlockState(pp.plan.Chain.Cfg.BlockLen)
+		fb.st = pp.run.rows[fb.row].take(pp.plan.Chain.Cfg.BlockLen, pp.plan.Pipelines)
 		if pp.plan.Chain.Dir == stages.Compress {
 			fb.st.ResetForCompress(fb.raw)
 		} else {
@@ -129,7 +179,9 @@ func (pp *peProgram) process(ctx *wse.Context, fb *flowBlock) {
 		chain.Stages[i].Run(fb.st)
 	}
 	if pp.isTail {
-		ctx.Emit(fb, fb.st.Wavelets())
+		w := fb.st.Wavelets()
+		pp.release(fb)
+		ctx.Emit(fb, w)
 		return
 	}
 	ctx.Send(wse.East, wse.Message{
@@ -137,6 +189,22 @@ func (pp *peProgram) process(ctx *wse.Context, fb *flowBlock) {
 		Payload:  fb,
 		Wavelets: fb.st.Wavelets(),
 	})
+}
+
+// release copies a finished block's result out of its state — the
+// encoded bytes into the row's arena, or the decoded floats straight into
+// the reconstruction — and returns the state to the row's pool.
+func (pp *peProgram) release(fb *flowBlock) {
+	st, rr := fb.st, &pp.run.rows[fb.row]
+	if pp.plan.Chain.Dir == stages.Compress {
+		fb.off, fb.n = len(rr.arena), len(st.Encoded)
+		rr.arena = append(rr.arena, st.Encoded...)
+	} else {
+		lo := fb.id * len(st.Raw)
+		copy(pp.run.out[lo:min(lo+len(st.Raw), len(pp.run.out))], st.Raw)
+	}
+	fb.st = nil
+	rr.free = append(rr.free, st)
 }
 
 // Result reports one simulated run.
@@ -174,12 +242,13 @@ type Result struct {
 	SpanLog *wse.SpanLog
 }
 
-// install wires the plan's programs onto rows [0, rows) of the mesh.
-// Unless ProcessorRelay is set, interior pipeline PEs get a static router
-// route for the raw-block color, so crossing traffic never touches their
-// processor.
-func (p *Plan) install(m *wse.Mesh, rows int) {
+// install wires the plan's programs for run rs onto rows [0, rows) of
+// the mesh. Unless ProcessorRelay is set, interior pipeline PEs get a
+// static router route for the raw-block color, so crossing traffic never
+// touches their processor.
+func (p *Plan) install(m *wse.Mesh, rs *simRun, rows int) {
 	pl := p.Cfg.PipelineLen
+	progs := make([]peProgram, rows*p.Pipelines*pl)
 	for r := 0; r < rows; r++ {
 		for pipe := 0; pipe < p.Pipelines; pipe++ {
 			for pos := 0; pos < pl; pos++ {
@@ -188,48 +257,93 @@ func (p *Plan) install(m *wse.Mesh, rows int) {
 				if interiorWithTraffic && !p.Cfg.ProcessorRelay {
 					m.SetRoute(r, col, colorRaw, wse.East)
 				}
-				m.SetProgram(r, col, &peProgram{
+				pp := &progs[(r*p.Pipelines+pipe)*pl+pos]
+				*pp = peProgram{
 					plan:      p,
+					run:       rs,
 					isHead:    pos == 0,
 					isTail:    pos == pl-1,
 					group:     p.Groups[pos],
 					relayInit: p.Pipelines - pipe - 1,
-				})
+				}
+				m.SetProgram(r, col, pp)
 			}
 		}
 	}
 }
 
-// injectColumn streams every block into PE(0,0) on the column color; row
-// heads peel off their rows' blocks (single-ingress mode).
-func (p *Plan) injectColumn(m *wse.Mesh, blocks []*flowBlock, wavelets func(*flowBlock) int) {
+// feed streams count blocks — ids first, first+stride, … — into PE(row, 0)
+// on color, at link rate or the configured interval. The mesh pulls each
+// block from the stream only when the previous one is delivered.
+func (p *Plan) feed(m *wse.Mesh, blocks []flowBlock, row int, color wse.Color, first, stride, count int, wavelets func(*flowBlock) int) {
 	t := int64(0)
-	for _, fb := range blocks {
+	m.InjectStream(row, 0, count, func(k int) (wse.Message, int64) {
+		fb := &blocks[first+k*stride]
 		w := wavelets(fb)
-		m.Inject(0, 0, wse.Message{Color: colorColumn, Payload: fb, Wavelets: w,
-			Span: int64(fb.id) + 1}, t)
+		at := t
 		if p.Cfg.InjectInterval > 0 {
 			t += p.Cfg.InjectInterval
 		} else {
 			t += int64(w) + m.Config().LinkLatency
 		}
-	}
+		return wse.Message{Color: color, Payload: fb, Wavelets: w, Span: int64(fb.id) + 1}, at
+	})
 }
 
-// inject streams the row's blocks into its west-edge PE at link rate (or
-// the configured interval).
-func (p *Plan) inject(m *wse.Mesh, row int, blocks []*flowBlock, wavelets func(*flowBlock) int) {
-	t := int64(0)
-	for _, fb := range blocks {
-		w := wavelets(fb)
-		m.Inject(row, 0, wse.Message{Color: colorRaw, Payload: fb, Wavelets: w,
-			Span: int64(fb.id) + 1}, t)
-		if p.Cfg.InjectInterval > 0 {
-			t += p.Cfg.InjectInterval
-		} else {
-			t += int64(w) + m.Config().LinkLatency
+// simulate runs rs's blocks through the plan on a fresh mesh: blocks are
+// striped over rows (row r gets blocks r, r+rows, r+2·rows, …) and enter
+// at each row's first PE, or all through PE(0,0) in single-ingress mode.
+func (p *Plan) simulate(rs *simRun, meta core.Meta, traceCap int, wavelets func(*flowBlock) int) (*Result, *wse.Tracer, error) {
+	nBlocks := len(rs.blocks)
+	m, err := wse.NewMesh(p.Cfg.Mesh)
+	if err != nil {
+		return nil, nil, err
+	}
+	var tr *wse.Tracer
+	if traceCap > 0 {
+		tr = m.AttachTracer(traceCap)
+	}
+	var spanLog *wse.SpanLog
+	if p.Cfg.RecordSpans {
+		spanLog = m.AttachSpans()
+	}
+	rows := p.Cfg.Mesh.Rows
+	if rows > nBlocks && nBlocks > 0 {
+		rows = nBlocks
+	}
+	for b := range rs.blocks {
+		rs.blocks[b].id, rs.blocks[b].row = b, b%rows
+	}
+	rowBlocks := func(r int) int { return (nBlocks - r + rows - 1) / rows }
+	rs.rows = make([]rowRun, rows)
+	if p.Chain.Dir == stages.Compress {
+		// Size each row's arena for the plan's width estimate, so that
+		// rows rarely regrow it.
+		cfg := p.Chain.Cfg
+		est := flenc.EncodedSize(uint(cfg.EstWidth), cfg.BlockLen, cfg.HeaderBytes)
+		for r := range rs.rows {
+			rs.rows[r].arena = make([]byte, 0, est*rowBlocks(r))
 		}
 	}
+	p.install(m, rs, rows)
+	if p.Cfg.SingleIngress {
+		p.feed(m, rs.blocks, 0, colorColumn, 0, 1, nBlocks, wavelets)
+	} else {
+		for r := 0; r < rows; r++ {
+			p.feed(m, rs.blocks, r, colorRaw, r, rows, rowBlocks(r), wavelets)
+		}
+	}
+
+	runStart := time.Now()
+	cycles, err := m.Run()
+	if err != nil {
+		return nil, nil, err
+	}
+	wall := time.Since(runStart)
+	if err := checkEmissions(m, nBlocks); err != nil {
+		return nil, nil, err
+	}
+	return p.newResult(m, cycles, int64(4*meta.Elements), meta, wall, spanLog), tr, nil
 }
 
 // CompressTraced is Compress with a wse.Tracer attached (capturing up to
@@ -258,72 +372,29 @@ func (p *Plan) compress(data []float32, traceCap int) (*Result, *wse.Tracer, err
 		return nil, nil, fmt.Errorf("mapping: Compress on a %v chain", p.Chain.Dir)
 	}
 	L := p.Chain.Cfg.BlockLen
-	nBlocks := (len(data) + L - 1) / L
-	m, err := wse.NewMesh(p.Cfg.Mesh)
-	if err != nil {
-		return nil, nil, err
+	rs := &simRun{blocks: make([]flowBlock, (len(data)+L-1)/L)}
+	for b := range rs.blocks {
+		rs.blocks[b].raw = data[b*L : min((b+1)*L, len(data))]
 	}
-	var tr *wse.Tracer
-	if traceCap > 0 {
-		tr = m.AttachTracer(traceCap)
-	}
-	var spanLog *wse.SpanLog
-	if p.Cfg.RecordSpans {
-		spanLog = m.AttachSpans()
-	}
-	rows := p.Cfg.Mesh.Rows
-	if rows > nBlocks && nBlocks > 0 {
-		rows = nBlocks
-	}
-	p.install(m, rows)
-
-	// Stripe blocks over rows: row r gets blocks r, r+rows, r+2·rows, …
-	if p.Cfg.SingleIngress {
-		var all []*flowBlock
-		for b := 0; b < nBlocks; b++ {
-			lo, hi := b*L, (b+1)*L
-			if hi > len(data) {
-				hi = len(data)
-			}
-			all = append(all, &flowBlock{id: b, row: b % rows, raw: data[lo:hi]})
-		}
-		p.injectColumn(m, all, func(*flowBlock) int { return L })
-	} else {
-		for r := 0; r < rows; r++ {
-			var rowBlocks []*flowBlock
-			for b := r; b < nBlocks; b += rows {
-				lo, hi := b*L, (b+1)*L
-				if hi > len(data) {
-					hi = len(data)
-				}
-				rowBlocks = append(rowBlocks, &flowBlock{id: b, row: r, raw: data[lo:hi]})
-			}
-			p.inject(m, r, rowBlocks, func(*flowBlock) int { return L })
-		}
-	}
-
-	runStart := time.Now()
-	cycles, err := m.Run()
-	if err != nil {
-		return nil, nil, err
-	}
-	wall := time.Since(runStart)
-
 	meta := core.Meta{
 		HeaderBytes: p.Chain.Cfg.HeaderBytes,
 		BlockLen:    L,
 		Elements:    len(data),
 		Eps:         p.Chain.Cfg.Eps,
 	}
-	encoded, err := collectBlocks(m, nBlocks)
+	res, tr, err := p.simulate(rs, meta, traceCap, func(*flowBlock) int { return L })
 	if err != nil {
 		return nil, nil, err
 	}
-	out := core.AppendStreamHeader(nil, meta)
-	for _, fb := range encoded {
-		out = append(out, fb.st.Encoded...)
+	size := core.StreamHeaderSize
+	for i := range rs.blocks {
+		size += rs.blocks[i].n
 	}
-	res := p.newResult(m, cycles, int64(4*len(data)), meta, wall, spanLog)
+	out := core.AppendStreamHeader(make([]byte, 0, size), meta)
+	for i := range rs.blocks {
+		fb := &rs.blocks[i]
+		out = append(out, rs.rows[fb.row].arena[fb.off:fb.off+fb.n]...)
+	}
 	res.Bytes = out
 	return res, tr, nil
 }
@@ -356,65 +427,18 @@ func (p *Plan) decompress(comp []byte, traceCap int) (*Result, *wse.Tracer, erro
 		return nil, nil, fmt.Errorf("mapping: stream ε %g does not match plan's %g", meta.Eps, p.Chain.Cfg.Eps)
 	}
 	body := comp[core.StreamHeaderSize:]
-	nBlocks := meta.Blocks()
-
-	m, err := wse.NewMesh(p.Cfg.Mesh)
+	rs := &simRun{
+		blocks: make([]flowBlock, meta.Blocks()),
+		out:    make([]float32, meta.Elements),
+	}
+	for b := range rs.blocks {
+		rs.blocks[b].enc = body[offsets[b]:offsets[b+1]]
+	}
+	res, tr, err := p.simulate(rs, meta, traceCap, func(fb *flowBlock) int { return (len(fb.enc) + 3) / 4 })
 	if err != nil {
 		return nil, nil, err
 	}
-	var tr *wse.Tracer
-	if traceCap > 0 {
-		tr = m.AttachTracer(traceCap)
-	}
-	var spanLog *wse.SpanLog
-	if p.Cfg.RecordSpans {
-		spanLog = m.AttachSpans()
-	}
-	rows := p.Cfg.Mesh.Rows
-	if rows > nBlocks && nBlocks > 0 {
-		rows = nBlocks
-	}
-	p.install(m, rows)
-
-	encW := func(fb *flowBlock) int { return (len(fb.enc) + 3) / 4 }
-	if p.Cfg.SingleIngress {
-		var all []*flowBlock
-		for b := 0; b < nBlocks; b++ {
-			all = append(all, &flowBlock{id: b, row: b % rows, enc: body[offsets[b]:offsets[b+1]]})
-		}
-		p.injectColumn(m, all, encW)
-	} else {
-		for r := 0; r < rows; r++ {
-			var rowBlocks []*flowBlock
-			for b := r; b < nBlocks; b += rows {
-				rowBlocks = append(rowBlocks, &flowBlock{id: b, row: r, enc: body[offsets[b]:offsets[b+1]]})
-			}
-			p.inject(m, r, rowBlocks, encW)
-		}
-	}
-
-	runStart := time.Now()
-	cycles, err := m.Run()
-	if err != nil {
-		return nil, nil, err
-	}
-	wall := time.Since(runStart)
-	decoded, err := collectBlocks(m, nBlocks)
-	if err != nil {
-		return nil, nil, err
-	}
-	L := meta.BlockLen
-	out := make([]float32, meta.Elements)
-	for _, fb := range decoded {
-		lo := fb.id * L
-		hi := lo + L
-		if hi > len(out) {
-			hi = len(out)
-		}
-		copy(out[lo:hi], fb.st.Raw)
-	}
-	res := p.newResult(m, cycles, int64(4*meta.Elements), meta, wall, spanLog)
-	res.Data = out
+	res.Data = rs.out
 	return res, tr, nil
 }
 
@@ -533,27 +557,21 @@ func mirrorToDefault(s telemetry.Snapshot) {
 	}
 }
 
-// collectBlocks gathers the emitted flow blocks and orders them by id.
-func collectBlocks(m *wse.Mesh, nBlocks int) ([]*flowBlock, error) {
+// checkEmissions verifies that every block left the wafer exactly once.
+func checkEmissions(m *wse.Mesh, nBlocks int) error {
 	ems := m.Emissions()
 	if len(ems) != nBlocks {
-		return nil, fmt.Errorf("mapping: %d blocks emitted, want %d", len(ems), nBlocks)
+		return fmt.Errorf("mapping: %d blocks emitted, want %d", len(ems), nBlocks)
 	}
-	// Block ids are dense 0..nBlocks-1, so the emissions sort by direct
-	// placement: out[id] is the slot, and a filled slot is a duplicate.
-	out := make([]*flowBlock, nBlocks)
 	for _, e := range ems {
 		fb, ok := e.Payload.(*flowBlock)
 		if !ok {
-			return nil, fmt.Errorf("mapping: unexpected emission payload %T", e.Payload)
+			return fmt.Errorf("mapping: unexpected emission payload %T", e.Payload)
 		}
-		if fb.id < 0 || fb.id >= nBlocks {
-			return nil, fmt.Errorf("mapping: emitted block id %d outside [0,%d)", fb.id, nBlocks)
+		if fb.emitted {
+			return fmt.Errorf("mapping: block %d emitted twice", fb.id)
 		}
-		if out[fb.id] != nil {
-			return nil, fmt.Errorf("mapping: block %d emitted twice", fb.id)
-		}
-		out[fb.id] = fb
+		fb.emitted = true
 	}
-	return out, nil
+	return nil
 }

@@ -190,14 +190,36 @@ const (
 
 // NewBlockState allocates the scratch for a block of length L.
 func NewBlockState(L int) *BlockState {
-	return &BlockState{
-		Raw:      make([]float32, L),
-		Scaled:   make([]float64, L),
-		Codes:    make([]int32, L),
-		Abs:      make([]uint32, L),
-		SignBits: make([]byte, L/8),
-		Planes:   make([]byte, flenc.MaxWidth*L/8),
+	return &NewBlockStates(L, 1)[0]
+}
+
+// NewBlockStates allocates the scratch for n blocks of length L in six
+// allocations, however large n is: the states share one backing array
+// per element type. Each state's slices are capped at its own share, and
+// Encoded has room for the largest block encoding, so no state ever
+// grows into another's or reallocates.
+func NewBlockStates(L, n int) []BlockState {
+	sts := make([]BlockState, n)
+	raw := make([]float32, n*L)
+	scaled := make([]float64, n*L)
+	codes := make([]int32, n*L)
+	abs := make([]uint32, n*L)
+	sb, pb := L/8, flenc.MaxWidth*L/8
+	eb := max(flenc.EncodedSize(flenc.MaxWidth, L, flenc.HeaderU32), flenc.VerbatimSize(L, flenc.HeaderU32))
+	buf := make([]byte, n*(sb+pb+eb))
+	for i := range sts {
+		lo, b := i*L, buf[i*(sb+pb+eb):(i+1)*(sb+pb+eb)]
+		sts[i] = BlockState{
+			Raw:      raw[lo : lo+L : lo+L],
+			Scaled:   scaled[lo : lo+L : lo+L],
+			Codes:    codes[lo : lo+L : lo+L],
+			Abs:      abs[lo : lo+L : lo+L],
+			SignBits: b[:sb:sb],
+			Planes:   b[sb : sb+pb : sb+pb],
+			Encoded:  b[sb+pb : sb+pb : sb+pb+eb],
+		}
 	}
+	return sts
 }
 
 // ResetForCompress loads a raw block (≤ L elements; zero-padded) into the
@@ -386,7 +408,10 @@ func NewCompressChain(cfg Config) (*Chain, error) {
 					hi = int(st.Width)
 				}
 				for p := k; p < hi; p++ {
-					st.Planes = append(st.Planes, make([]byte, pb)...)
+					// ShufflePlane overwrites the whole plane, so extend
+					// without zeroing or allocating: NewBlockStates gives
+					// Planes room for MaxWidth planes.
+					st.Planes = st.Planes[:len(st.Planes)+pb]
 					flenc.ShufflePlane(st.Planes[p*pb:(p+1)*pb], st.Abs, uint(p))
 				}
 			},

@@ -76,11 +76,16 @@ type Mesh struct {
 	// their own glue at partition time; see shard.go).
 	glue []bool
 
-	// pending collects work scheduled before the event loops start: host
-	// injections, then everything the Init phase sends. Run bins it into
-	// shards by destination row.
-	pending   []event
+	// pending collects work scheduled before the event loops start: the
+	// first message of every host stream, then everything the Init phase
+	// sends. Run bins it into shards by destination row.
+	pending []event
+	// injectSeq is the next unreserved host ordering seq; each stream
+	// reserves one per message when it is registered.
 	injectSeq int64
+	// ingress holds the host streams of more than one message. It is
+	// read-only once Run starts, so shard engines share it freely.
+	ingress []ingress
 
 	processed int64
 	emissions []Emission
@@ -202,19 +207,73 @@ func (m *Mesh) routeOf(pe int32, color Color) int8 {
 // (the paper assumes "the input data is generated on the first PE of each
 // row", §4.3). The message arrives from direction West carrying the
 // OffWafer source sentinel, so programs can distinguish host ingress from
-// fabric traffic.
+// fabric traffic. Inject is InjectStream with one message.
 func (m *Mesh) Inject(row, col int, msg Message, at int64) {
+	m.addIngress(m.PE(row, col).idx, 1, msg, at, nil)
+}
+
+// ingress is a host stream of n messages into one PE. Its messages carry
+// the ordering seqs [seq, seq+n); delivering message k schedules message
+// k+1, so the event queue holds at most one message of each stream.
+type ingress struct {
+	seq  int64
+	n    int
+	next func(k int) (Message, int64)
+}
+
+// InjectStream schedules a host stream of n messages into PE(row, col),
+// each delivered as by Inject: next(k) returns message k and its delivery
+// cycle. Only next(0) runs now; next(k+1) runs when message k is
+// delivered, on the engine simulating the PE, in order of k — so the
+// event queue holds one pending message per stream rather than all n,
+// like the single input buffer of a real ingress. Delivery cycles must
+// not decrease along the stream. Every message gets exactly the ordering
+// key n consecutive Inject calls made now would have given it, so a
+// stream schedules bit-identically to eager injection.
+func (m *Mesh) InjectStream(row, col, n int, next func(k int) (Message, int64)) {
+	if n <= 0 {
+		return
+	}
+	msg, at := next(0)
+	m.addIngress(m.PE(row, col).idx, n, msg, at, next)
+}
+
+// addIngress registers a host stream and schedules its first message.
+func (m *Mesh) addIngress(pe int32, n int, msg Message, at int64, next func(int) (Message, int64)) {
+	var id int32
+	if n > 1 {
+		m.ingress = append(m.ingress, ingress{seq: m.injectSeq, n: n, next: next})
+		id = int32(len(m.ingress))
+	}
+	m.pending = append(m.pending, injection(pe, msg, at, m.injectSeq, id))
+	m.injectSeq += int64(n)
+}
+
+// injection builds the delivery event of one host message.
+func injection(pe int32, msg Message, at, seq int64, ingress int32) event {
 	if at < 0 {
 		panic("wse: Inject at negative time")
 	}
 	msg.From = West
 	msg.Src = OffWafer
 	msg.sentAt = at // the host "let go" at the scheduled delivery time
-	pe := m.PE(row, col)
-	m.pending = append(m.pending, event{
-		at: at, src: hostSrc, seq: m.injectSeq, kind: evDeliver, pe: pe.idx, msg: msg,
-	})
-	m.injectSeq++
+	return event{at: at, src: hostSrc, ingress: ingress, seq: seq, kind: evDeliver, pe: pe, msg: msg}
+}
+
+// advanceIngress schedules the message that follows the just-popped host
+// message ev in its stream, if any.
+func (e *engine) advanceIngress(ev *event) {
+	in := &e.m.ingress[ev.ingress-1]
+	k := int(ev.seq-in.seq) + 1
+	if k == in.n {
+		return
+	}
+	msg, at := in.next(k)
+	if at < ev.at {
+		panic(fmt.Sprintf("wse: host stream into %v delivers message %d at cycle %d, before message %d at %d",
+			e.m.pes[ev.pe].coord, k, at, k-1, ev.at))
+	}
+	e.push(injection(ev.pe, msg, at, in.seq+int64(k), ev.ingress))
 }
 
 // OnEmit registers a callback invoked for every emission, in emission
@@ -336,22 +395,20 @@ type engine struct {
 	// collect tags emissions and span events with their cause event's
 	// key for the deterministic post-run merge, instead of appending
 	// them to the mesh logs as they happen.
-	collect  bool
-	emis     []taggedEmission
-	spanEvs  []taggedSpanEvent
-	causeAt  int64
-	causeSrc int32
-	causeSeq int64
+	collect bool
+	emis    []taggedEmission
+	spanEvs []taggedSpanEvent
+	cause   evKey
 }
 
 // taggedEmission is an emission annotated with the ordering key of the
 // event whose dispatch produced it.
 type taggedEmission struct {
-	at  int64
-	src int32
-	seq int64
+	key evKey
 	em  Emission
 }
+
+func (t *taggedEmission) orderKey() evKey { return t.key }
 
 // run drains the engine's event queue.
 func (e *engine) run() error {
@@ -366,11 +423,14 @@ func (e *engine) run() error {
 		} else if err := e.drawQuota(); err != nil {
 			return err
 		}
+		if ev.ingress != 0 {
+			e.advanceIngress(&ev)
+		}
 		pe := &m.pes[ev.pe]
 		// Every by-product of processing this event (emissions, span
 		// records) is attributed to its ordering key, so sharded runs can
 		// merge them back into the sequential processing order.
-		e.causeAt, e.causeSrc, e.causeSeq = ev.at, ev.src, ev.seq
+		e.cause = evKey{at: ev.at, src: ev.src, seq: ev.seq}
 		switch ev.kind {
 		case evDeliver:
 			if d := m.routeOf(ev.pe, ev.msg.Color); d != routeNone {
@@ -454,7 +514,7 @@ func (e *engine) routeForward(pe *PE, msg Message, out Dir, t int64) {
 // — tags it with the cause event's ordering key for the post-run merge.
 func (e *engine) recordSpan(ev SpanEvent) {
 	if e.collect {
-		e.spanEvs = append(e.spanEvs, taggedSpanEvent{at: e.causeAt, src: e.causeSrc, seq: e.causeSeq, ev: ev})
+		e.spanEvs = append(e.spanEvs, taggedSpanEvent{key: e.cause, ev: ev})
 		return
 	}
 	e.m.spans.events = append(e.m.spans.events, ev)
@@ -548,7 +608,7 @@ func (e *engine) finishHandler(pe *PE, t int64) int64 {
 			e.recordSpan(SpanEvent{Span: ctx.span, Kind: SpanEject, PE: pe.coord, At: end, End: end})
 		}
 		if e.collect {
-			e.emis = append(e.emis, taggedEmission{at: e.causeAt, src: e.causeSrc, seq: e.causeSeq, em: em})
+			e.emis = append(e.emis, taggedEmission{key: e.cause, em: em})
 			continue
 		}
 		m.emissions = append(m.emissions, em)

@@ -21,12 +21,16 @@ const (
 
 // event is one scheduled occurrence, held by value in the heap.
 type event struct {
-	at   int64
-	src  int32 // origin PE linear index; -1 for host injections
-	seq  int64 // origin's push counter
-	kind evKind
-	pe   int32 // destination PE linear index
-	msg  Message
+	at  int64
+	src int32 // origin PE linear index; -1 for host injections
+	// ingress is 1 + the index of the host stream (Mesh.ingress) whose
+	// next message this injection's delivery schedules; 0 for every
+	// other event. It fills padding, so events stay the same size.
+	ingress int32
+	seq     int64 // origin's push counter
+	kind    evKind
+	pe      int32 // destination PE linear index
+	msg     Message
 }
 
 // before orders events by (at, src, seq).
@@ -38,6 +42,26 @@ func (e *event) before(o *event) bool {
 		return e.src < o.src
 	}
 	return e.seq < o.seq
+}
+
+// evKey is the (at, src, seq) ordering key on its own: the tag the
+// sharded engine's per-engine logs carry for the post-run merge.
+type evKey struct {
+	at  int64
+	src int32
+	seq int64
+}
+
+// less orders keys like event.before (which compares the fields in place,
+// on the heap's hot path).
+func (k evKey) less(o evKey) bool {
+	if k.at != o.at {
+		return k.at < o.at
+	}
+	if k.src != o.src {
+		return k.src < o.src
+	}
+	return k.seq < o.seq
 }
 
 // eventHeap is a 4-ary min-heap of value-typed events. Unlike

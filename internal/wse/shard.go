@@ -3,7 +3,7 @@ package wse
 import (
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -139,8 +139,10 @@ const budgetChunk = 4096
 // pre-pass, then one engine per shard, then a deterministic merge of the
 // shards' emissions by event key.
 func (m *Mesh) runSharded(plan runPlan, pending []event) (int64, error) {
-	var tagged []taggedEmission
-	var taggedSpans []taggedSpanEvent
+	// The pre-pass's logs (if any) come first, then each shard's in shard
+	// order: the concatenation order the merge's tie-break preserves.
+	var emisLogs [][]taggedEmission
+	var spanLogs [][]taggedSpanEvent
 	var used int64
 
 	if plan.feed {
@@ -150,7 +152,8 @@ func (m *Mesh) runSharded(plan runPlan, pending []event) (int64, error) {
 		// pre-pass runs before any worker starts, so the link and PE
 		// state it writes is visible to — and never raced by — the
 		// shards; feeder PEs are sealed when it finishes.
-		var seeds, rest []event
+		var seeds []event
+		rest := make([]event, 0, len(pending))
 		for _, ev := range pending {
 			if ev.kind == evDeliver && m.isFeed(ev.pe, ev.msg.Color) {
 				seeds = append(seeds, ev)
@@ -165,19 +168,24 @@ func (m *Mesh) runSharded(plan runPlan, pending []event) (int64, error) {
 			return 0, err
 		}
 		used = pre.processed
-		tagged = pre.emis
-		taggedSpans = pre.spanEvs
+		emisLogs = append(emisLogs, pre.emis)
+		spanLogs = append(spanLogs, pre.spanEvs)
 		pending = append(rest, pre.deferred...)
 	}
 	m.feedEvents = used
 
-	// Bin the pending events (host injections, Init-phase sends, feed
-	// deferrals) to the shard owning their destination row.
+	// Bin the pending events (host stream heads, Init-phase sends, feed
+	// deferrals) to the shard owning their destination row, sizing each
+	// bin exactly.
 	shardOf := make([]int32, m.cfg.Rows)
 	for i, sp := range plan.spans {
 		for r := sp.lo; r < sp.hi; r++ {
 			shardOf[r] = int32(i)
 		}
+	}
+	binLen := make([]int, len(plan.spans))
+	for _, ev := range pending {
+		binLen[shardOf[int(ev.pe)/m.cfg.Cols]]++
 	}
 	budget := &eventBudget{}
 	budget.remaining.Store(m.cfg.MaxEvents - used)
@@ -185,6 +193,7 @@ func (m *Mesh) runSharded(plan runPlan, pending []event) (int64, error) {
 	for i, sp := range plan.spans {
 		engines[i] = engine{m: m, shared: budget, restricted: true, collect: true,
 			idxLo: int32(sp.lo * m.cfg.Cols), idxHi: int32(sp.hi * m.cfg.Cols)}
+		engines[i].q.ev = make([]event, 0, binLen[i])
 	}
 	for _, ev := range pending {
 		s := shardOf[int(ev.pe)/m.cfg.Cols]
@@ -255,51 +264,94 @@ func (m *Mesh) runSharded(plan runPlan, pending []event) (int64, error) {
 	for i := range engines {
 		m.processed += engines[i].processed
 		m.shardEvents[i] = engines[i].processed
-		tagged = append(tagged, engines[i].emis...)
-		taggedSpans = append(taggedSpans, engines[i].spanEvs...)
+		emisLogs = append(emisLogs, engines[i].emis)
+		spanLogs = append(spanLogs, engines[i].spanEvs)
+	}
+	nEmis := 0
+	for _, l := range emisLogs {
+		nEmis += len(l)
 	}
 	// Merge emissions into the order the sequential engine would have
 	// produced: its emission log order is the processing order of the
 	// dispatches that emitted, i.e. the (at, src, seq) order of their
-	// cause events. The sort is stable so multiple emissions from one
-	// handler keep their in-handler order.
-	sort.SliceStable(tagged, func(i, j int) bool {
-		a, b := &tagged[i], &tagged[j]
-		if a.at != b.at {
-			return a.at < b.at
-		}
-		if a.src != b.src {
-			return a.src < b.src
-		}
-		return a.seq < b.seq
-	})
-	for _, te := range tagged {
+	// cause events. Every engine processes its events in that order, so
+	// each log is already sorted, and the merge keeps multiple emissions
+	// from one handler in their in-handler order.
+	m.emissions = slices.Grow(m.emissions, nEmis)
+	mergeLogs(emisLogs, func(te *taggedEmission) {
 		m.emissions = append(m.emissions, te.em)
 		if m.emitTo != nil {
 			m.emitTo(te.em)
 		}
-	}
+	})
 	// The span log merges by the same key, for the same reason: the
 	// sequential engine appends span records while processing events in
 	// global (at, src, seq) order, one cause event runs entirely inside
-	// one engine, and the stable sort keeps per-cause append order — so
-	// the merged log is bit-identical to the sequential one.
+	// one engine, and the merge keeps per-cause append order — so the
+	// merged log is bit-identical to the sequential one.
 	if m.spans != nil {
-		sort.SliceStable(taggedSpans, func(i, j int) bool {
-			a, b := &taggedSpans[i], &taggedSpans[j]
-			if a.at != b.at {
-				return a.at < b.at
-			}
-			if a.src != b.src {
-				return a.src < b.src
-			}
-			return a.seq < b.seq
-		})
-		for _, ts := range taggedSpans {
+		mergeLogs(spanLogs, func(ts *taggedSpanEvent) {
 			m.spans.events = append(m.spans.events, ts.ev)
-		}
+		})
 	}
 	return m.Elapsed(), nil
+}
+
+// mergeLogs visits the records of logs, each already in (at, src, seq)
+// order of its orderKey, in global key order. Records with equal keys
+// keep their concatenation order — by log index, then by position in the
+// log — which is exactly what a stable sort of the concatenated logs
+// yields, at O(n log k) for k logs and without copying the records.
+func mergeLogs[T any, PT interface {
+	*T
+	orderKey() evKey
+}](logs [][]T, visit func(*T)) {
+	pos := make([]int, len(logs))
+	// heads is a binary min-heap of the indices of logs with records left,
+	// ordered by (key of the log's next record, log index).
+	heads := make([]int, 0, len(logs))
+	for i, l := range logs {
+		if len(l) > 0 {
+			heads = append(heads, i)
+		}
+	}
+	less := func(a, b int) bool {
+		ka, kb := PT(&logs[a][pos[a]]).orderKey(), PT(&logs[b][pos[b]]).orderKey()
+		if ka != kb {
+			return ka.less(kb)
+		}
+		return a < b
+	}
+	down := func(i int) {
+		n := len(heads)
+		for {
+			c := 2*i + 1
+			if c >= n {
+				return
+			}
+			if c+1 < n && less(heads[c+1], heads[c]) {
+				c++
+			}
+			if !less(heads[c], heads[i]) {
+				return
+			}
+			heads[i], heads[c] = heads[c], heads[i]
+			i = c
+		}
+	}
+	for i := len(heads)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	for len(heads) > 0 {
+		l := heads[0]
+		visit(&logs[l][pos[l]])
+		pos[l]++
+		if pos[l] == len(logs[l]) {
+			heads[0] = heads[len(heads)-1]
+			heads = heads[:len(heads)-1]
+		}
+		down(0)
+	}
 }
 
 // isFeed reports whether a delivery of color c to PE pe belongs to the

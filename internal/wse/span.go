@@ -104,11 +104,11 @@ func (sl *SpanLog) Events() []SpanEvent { return sl.events }
 // event whose processing produced it, for the deterministic post-run
 // merge (exactly the taggedEmission mechanism).
 type taggedSpanEvent struct {
-	at  int64
-	src int32
-	seq int64
+	key evKey
 	ev  SpanEvent
 }
+
+func (t *taggedSpanEvent) orderKey() evKey { return t.key }
 
 // BlockSpan is one block's assembled lifecycle: its events in timeline
 // order plus the derived cycle decomposition.
